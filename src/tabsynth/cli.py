@@ -1,7 +1,8 @@
 """Command-line interface: train / sample / evaluate / benchmark / project.
 
 Every command reads an optional JSON config file (``--config``); explicit
-flags override config keys.  Exit codes: 0 success, 1 configuration or
+flags override config keys, and a key the command does not read is a
+configuration error.  Exit codes: 0 success, 1 configuration or
 domain error, 2 unreadable or corrupt input.  All outputs are UTF-8 and
 byte-reproducible for a fixed seed.
 """
@@ -32,13 +33,21 @@ _GOOD_BATCHES = {2 ** k for k in range(6, 12)}  # the tuned search space
 LOG_COLUMNS = ("epoch", "batch", "kind", "loss", "epsilon")
 
 
-def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
-    """Config-file values first, explicit flags on top."""
+def _merge_config(args: argparse.Namespace, keys: tuple[str, ...],
+                  file_keys: tuple[str, ...] = ()) -> dict:
+    """Config-file values first, explicit flags on top.
+
+    ``keys`` may come from a flag or the file, ``file_keys`` from the file
+    only; a file key the command does not read is a ConfigError.
+    """
     merged: dict = {}
     if args.config:
         payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(payload, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(payload) - set(keys) - set(file_keys))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
         merged.update(payload)
     for key in keys:
         value = getattr(args, key, None)
@@ -54,11 +63,14 @@ def _require(cfg: dict, key: str):
 
 
 _TRAIN_KEYS = ("data", "schema", "model", "epsilon", "delta", "sigma", "clip",
-               "batch", "epochs", "steps", "lr", "seed")
+               "batch", "epochs", "steps", "lr", "seed", "out")
+# Model options that only a config file sets.
+_MODEL_KEYS = ("width", "blocks", "critic_steps", "latent_dim", "weight_clamp",
+               "generator_lr", "critic_lr")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _TRAIN_KEYS)
+    cfg = _merge_config(args, _TRAIN_KEYS, _MODEL_KEYS)
     kind = _require(cfg, "model")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model {kind!r}; choose one of {', '.join(MODEL_KINDS)}")
@@ -96,13 +108,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         if kind == "dpwgan":
             raise ConfigError("--steps-T only applies to the diffusion models")
         options["steps"] = int(cfg["steps"])
-    for key in ("width", "blocks", "critic_steps", "latent_dim", "weight_clamp",
-                "generator_lr", "critic_lr"):
+    for key in _MODEL_KEYS:
         if key in cfg:
             options[key] = cfg[key]
 
     model = train_model(encode(table), make_config(kind, privacy=privacy, **options), seed)
-    out = Path(args.out or cfg.get("out") or "model.json")
+    out = Path(cfg.get("out") or "model.json")
     save_bundle(model, out)
     log_path = Path(str(out) + ".log.csv")
     with open(log_path, "w", encoding="utf-8", newline="") as fh:
@@ -130,6 +141,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _merge_config(args, ())  # reads no config key; rejects any
     real = load_table(args.real)
     synth = load_table(args.synth, real.schema)
     report = evaluate(real, synth)
@@ -143,6 +155,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
+    _merge_config(args, ())  # reads no config key; rejects any
     plan = bench.load_plan(args.plan)
     out_dir = args.out or "benchmark_out"
     rows, failures = bench.run_benchmark(plan, out_dir)
@@ -158,6 +171,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
+    _merge_config(args, ())  # reads no config key; rejects any
     real = load_table(args.real)
     other = load_table(args.synth, real.schema)
     result = pca_projection_histogram(encode(real), encode(other), bins=args.bins)

@@ -9,7 +9,9 @@ spans) and samples by repeated application.
 
 Every batch is used at all T noise levels and the T per-sample losses
 are averaged before a single privatized update, so one batch costs one
-step of privacy budget regardless of T.
+step of privacy budget regardless of T: ``dp_sgd_step`` clips each
+sample's gradient summed over the T passes, whose loss gradients are
+scaled by 1/T.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accountant import (RdpLedger, accumulate_step, count_step, fresh_ledger,
-                         to_epsilon_delta)
+from .accountant import RdpLedger, count_step, fresh_ledger, to_epsilon_delta
 from .encoding import ColumnSpan, EncodedMatrix
 from .errors import ConfigError
 from .nn import AdamState, Network, adam_step, build_generator
-from .privacy import PrivacyParams, budget_exhausted, poisson_sample, privatize_batch_gradient
+from .privacy import PrivacyParams, budget_exhausted, dp_sgd_step, poisson_sample
 from .schema import ColumnKind, TableSchema
 
 NOISE_PREDICTOR = "tablediffusion"
@@ -179,11 +180,9 @@ def train_diffusion(matrix: EncodedMatrix, config: DiffusionConfig, seed: int) -
                 break
             x = matrix.values[idx]
 
-            if privacy is not None:
-                grad_sum = np.zeros((idx.size, net.n_params))
-            else:
-                grad_sum = np.zeros(net.n_params)
+            grad_sum = np.zeros(net.n_params)
             loss_sum = np.zeros(idx.size)
+            passes = []
 
             for t_index in range(config.steps):
                 noised, z = noise_step(x, float(betas[t_index]), rng)
@@ -192,15 +191,17 @@ def train_diffusion(matrix: EncodedMatrix, config: DiffusionConfig, seed: int) -
                     losses, loss_grads = noise_loss_grads(y, z)
                 else:
                     losses, loss_grads = denoiser_loss_grads(y, x, matrix.spans)
-                grads, _ = net.backward(caches, loss_grads, per_sample=privacy is not None)
-                grad_sum += grads
+                if privacy is not None:
+                    passes.append((caches, loss_grads / config.steps))
+                else:
+                    grads, _ = net.backward(caches, loss_grads, per_sample=False)
+                    grad_sum += grads
                 loss_sum += losses
-            grad_sum /= config.steps
 
             if privacy is not None:
-                update = privatize_batch_gradient(grad_sum, privacy, rng)
-                ledger = accumulate_step(ledger, privacy.sample_rate, privacy.sigma)
+                update, ledger = dp_sgd_step(net, passes, ledger, privacy, rng)
             else:
+                grad_sum /= config.steps
                 update = grad_sum
                 ledger = count_step(ledger)
             net.params, adam = adam_step(net.params, update, adam, config.lr)

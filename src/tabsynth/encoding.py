@@ -106,6 +106,8 @@ def decode(values: np.ndarray, schema: TableSchema) -> RawTable:
                 columns.append([col.minimum] * n)
                 continue
             raw = np.clip(block[:, 0], 0.0, 1.0) * span_width + col.minimum
+            # The affine map can round one ulp past the range; clamp it back.
+            np.clip(raw, col.minimum, col.maximum, out=raw)
             if col.integer_valued:
                 raw = np.rint(raw)
             columns.append([float(v) for v in raw])

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accountant import (RdpLedger, accumulate_step, count_step, fresh_ledger,
-                         to_epsilon_delta)
+from .accountant import RdpLedger, count_step, fresh_ledger, to_epsilon_delta
 from .encoding import ColumnSpan, EncodedMatrix
 from .errors import ConfigError
 from .nn import AdamState, Network, adam_step, build_critic, build_generator
-from .privacy import PrivacyParams, budget_exhausted, poisson_sample, privatize_batch_gradient
+from .privacy import PrivacyParams, budget_exhausted, dp_sgd_step, poisson_sample
 from .schema import TableSchema
 
 DPWGAN = "dpwgan"
@@ -111,16 +110,14 @@ def train_dpwgan(matrix: EncodedMatrix, config: GanConfig, seed: int) -> Trained
                 score_real, caches_real = critic.forward(real, mode="train", rng=rng)
                 score_fake, caches_fake = critic.forward(fake, mode="train", rng=rng)
                 ones = np.ones((idx.size, 1))
-                per_sample = privacy is not None
-                grads_real, _ = critic.backward(caches_real, -ones, per_sample=per_sample)
-                grads_fake, _ = critic.backward(caches_fake, ones, per_sample=per_sample)
-                grads = grads_real + grads_fake
-
                 if privacy is not None:
-                    update = privatize_batch_gradient(grads, privacy, rng)
-                    ledger = accumulate_step(ledger, privacy.sample_rate, privacy.sigma)
+                    update, ledger = dp_sgd_step(
+                        critic, [(caches_real, -ones), (caches_fake, ones)],
+                        ledger, privacy, rng)
                 else:
-                    update = grads
+                    grads_real, _ = critic.backward(caches_real, -ones, per_sample=False)
+                    grads_fake, _ = critic.backward(caches_fake, ones, per_sample=False)
+                    update = grads_real + grads_fake
                     ledger = count_step(ledger)
                 critic.params, adam_c = adam_step(critic.params, update, adam_c, config.critic_lr)
                 np.clip(critic.params, -config.weight_clamp, config.weight_clamp,

@@ -1,19 +1,42 @@
 """Minimal float64 neural network kernel with per-sample gradients.
 
-Everything here exists so that DP-SGD can clip gradients per sample:
-the backward pass keeps the batch axis all the way through instead of
-collapsing it layer by layer, and no layer ever mixes information across
-samples (normalization is per sample, per group).  Determinism matters
-more than speed: given the same seed, forward, backward and
-initialization are bit-reproducible.
+Everything here exists so that DP-SGD can clip gradients per sample, and
+no layer ever mixes information across samples (normalization is per
+sample, per group).  Training clips from ghost norms: ``backward_pairs``
+backpropagates one batch and returns, for every Dense and GroupNorm
+layer, the layer input and output gradient that its per-sample parameter
+gradients are built from, and ``privacy.ghost_clip`` computes norms and
+the clipped sum from those pairs without forming a (batch, n_params)
+matrix.  ``backward(per_sample=True)``, which keeps the batch axis all
+the way through and does form that matrix, is kept as the reference the
+ghost norms are tested against.  Determinism matters more than speed:
+given the same seed, forward, backward and initialization are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+
+class GradPair(NamedTuple):
+    """What one pass's backprop knows about one parametrized layer.
+
+    ``a`` is the Dense layer's input, or the GroupNorm layer's normalized
+    input; ``g`` is the loss gradient w.r.t. the layer's output.  Both are
+    (batch, width) and together determine every per-sample parameter
+    gradient of the layer.  ``start`` is the layer's offset in the flat
+    parameter vector.
+    """
+
+    layer: "Layer"
+    start: int
+    a: np.ndarray
+    g: np.ndarray
 
 
 class Layer:
@@ -35,6 +58,10 @@ class Layer:
         (n_params,) slice holding the batch-mean gradient otherwise.
         """
         raise NotImplementedError
+
+    def backward_pairs(self, p, cache, gy, start: int, pairs: list) -> np.ndarray:
+        """Return dL/dx; append a GradPair per parametrized layer to pairs."""
+        return self.backward(p, cache, gy, None, False)
 
     def to_spec(self) -> dict:
         raise NotImplementedError
@@ -71,6 +98,11 @@ class Dense(Layer):
             batch = x.shape[0]
             grad_out[:split] = (gy.T @ x).ravel() / batch
             grad_out[split:] = gy.mean(axis=0)
+        return gy @ w
+
+    def backward_pairs(self, p, cache, gy, start, pairs):
+        pairs.append(GradPair(self, start, cache, gy))
+        w, _ = self._weights(p)
         return gy @ w
 
     def to_spec(self):
@@ -174,14 +206,22 @@ class GroupNorm(Layer):
         return gamma * xhat + delta, (xhat, inv_std)
 
     def backward(self, p, cache, gy, grad_out, per_sample):
-        xhat, inv_std = cache
-        gamma = p[: self.channels]
+        xhat = cache[0]
         if per_sample:
             grad_out[:, : self.channels] = gy * xhat
             grad_out[:, self.channels :] = gy
         else:
             grad_out[: self.channels] = (gy * xhat).mean(axis=0)
             grad_out[self.channels :] = gy.mean(axis=0)
+        return self._input_grad(p, cache, gy)
+
+    def backward_pairs(self, p, cache, gy, start, pairs):
+        pairs.append(GradPair(self, start, cache[0], gy))
+        return self._input_grad(p, cache, gy)
+
+    def _input_grad(self, p, cache, gy):
+        xhat, inv_std = cache
+        gamma = p[: self.channels]
         b = gy.shape[0]
         ghat = (gy * gamma).reshape(b, self.groups, -1)
         xh = xhat.reshape(b, self.groups, -1)
@@ -234,6 +274,14 @@ class ResidualConcatBlock(Layer):
             sub = grad_out[:, sl] if per_sample else grad_out[sl]
             gh = layer.backward(p[sl], layer_cache, gh, sub, per_sample)
         return gx_direct + gh
+
+    def backward_pairs(self, p, cache, gy, start, pairs):
+        gh = gy[:, self.in_dim :]
+        for layer, sl, layer_cache in zip(
+            reversed(self.inner), reversed(self._slices()), reversed(cache)
+        ):
+            gh = layer.backward_pairs(p[sl], layer_cache, gh, start + sl.start, pairs)
+        return gy[:, : self.in_dim] + gh
 
     def to_spec(self):
         return {"type": "residual_concat", "in": self.in_dim, "width": self.width}
@@ -313,6 +361,21 @@ class Network:
             out = grads[:, sl] if per_sample else grads[sl]
             gy = layer.backward(self.params[sl], cache, gy, out, per_sample)
         return grads, gy
+
+    def backward_pairs(self, caches, loss_grads: np.ndarray):
+        """Backpropagate without forming any parameter gradient.
+
+        Returns (pairs, input_grads): one GradPair per Dense and GroupNorm
+        layer, output layer first, from which per-sample gradient norms
+        and clipped sums follow (see ``privacy.ghost_clip``).
+        """
+        pairs: list[GradPair] = []
+        gy = np.asarray(loss_grads, dtype=np.float64)
+        for layer, sl, cache in zip(
+            reversed(self.layers), reversed(self.slices), reversed(caches)
+        ):
+            gy = layer.backward_pairs(self.params[sl], cache, gy, sl.start, pairs)
+        return pairs, gy
 
     def layer_specs(self) -> list[dict]:
         return [layer.to_spec() for layer in self.layers]

@@ -5,6 +5,14 @@ norm C, sum, add N(0, C^2 sigma^2 I) noise to the sum, divide by the
 batch size.  Batches are Poisson subsamples so the accountant's
 subsampling amplification applies; empty batches are simply skipped and
 never charged.
+
+Both trainers take their private updates from ``dp_sgd_step``, which
+clips from ghost norms (``ghost_clip``): each sample's gradient norm and
+the clipped sum come from the layer inputs and output gradients of
+ordinary batch backprop, so no (batch, n_params) matrix is built.
+``clip_per_sample`` and ``privatize_batch_gradient`` apply the same rule
+to a materialized per-sample gradient matrix and are kept as the
+reference the step is tested against.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import numpy as np
 
 from .accountant import RdpLedger, accumulate_step, to_epsilon_delta
 from .errors import PrivacyError
+from .nn import Dense, Network
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,73 @@ def privatize_batch_gradient(
     clipped = clip_per_sample(grads, params.clip_norm)
     noise = rng.normal(0.0, params.clip_norm * params.sigma, size=grads.shape[1])
     return (clipped.sum(axis=0) + noise) / batch
+
+
+def ghost_clip(net: Network, passes, clip_norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample gradient norms and the clipped gradient sum of one batch.
+
+    ``passes`` holds (caches, loss_grads) pairs from ``net.forward`` over
+    the same batch rows, and sample i's gradient G_i is the sum over the
+    passes of the gradients of its losses (so losses to be averaged must
+    come with pre-scaled loss gradients).  With a Dense layer's inputs
+    x_{i,t} and output gradients g_{i,t} in pass t,
+
+        |G_i^W|^2 = sum_{t,s} (x_{i,t} . x_{i,s}) (g_{i,t} . g_{i,s}),
+        |G_i^b|^2 = |sum_t g_{i,t}|^2,
+
+    and GroupNorm's (batch, 2C) affine gradients are formed directly.
+    The clipped sum is sum_i c_i G_i with c_i = 1 / max(1, |G_i| / C),
+    one GEMM per Dense layer over the stacked passes.  Returns
+    (norms, clipped_sum) of shapes (batch,) and (n_params,).
+    """
+    if clip_norm <= 0.0:
+        raise PrivacyError(f"clipping norm must be positive, got {clip_norm}")
+    per_pass = [net.backward_pairs(caches, loss_grads)[0] for caches, loss_grads in passes]
+    batch = per_pass[0][0].g.shape[0]
+    squared = np.zeros(batch)
+    layers = []
+    for pairs in zip(*per_pass):
+        layer, start = pairs[0].layer, pairs[0].start
+        a = np.stack([pair.a for pair in pairs], axis=1)  # (batch, passes, in)
+        g = np.stack([pair.g for pair in pairs], axis=1)  # (batch, passes, out)
+        # rows: the per-sample gradients small enough to form directly.
+        if isinstance(layer, Dense):
+            rows = g.sum(axis=1)
+            gram = (a @ a.transpose(0, 2, 1)) * (g @ g.transpose(0, 2, 1))
+            squared += gram.sum(axis=(1, 2))
+            layers.append((layer, start, a, g, rows))
+        else:
+            rows = np.concatenate([(g * a).sum(axis=1), g.sum(axis=1)], axis=1)
+            layers.append((layer, start, None, None, rows))
+        squared += (rows * rows).sum(axis=1)
+    norms = np.sqrt(squared)
+    scale = 1.0 / np.maximum(1.0, norms / clip_norm)
+
+    clipped = np.zeros(net.n_params)
+    for layer, start, a, g, rows in layers:
+        stop = start + layer.n_params
+        split = stop - rows.shape[1]
+        if a is not None:
+            scaled = (g * scale[:, None, None]).reshape(-1, layer.out_dim)
+            clipped[start:split] = (scaled.T @ a.reshape(-1, layer.in_dim)).ravel()
+        clipped[split:stop] = scale @ rows
+    return norms, clipped
+
+
+def dp_sgd_step(net: Network, passes, ledger: RdpLedger, params: PrivacyParams,
+                rng: np.random.Generator) -> tuple[np.ndarray, RdpLedger]:
+    """One private update from the forward passes over one Poisson batch.
+
+    Returns the noisy mean gradient (sum_i clip(G_i) + noise) / |B| —
+    ``privatize_batch_gradient`` of the per-sample matrix, with the same
+    noise draw — and the ledger charged for one sampled Gaussian step.
+    The caller checks ``budget_exhausted`` before drawing the passes.
+    """
+    _, clipped = ghost_clip(net, passes, params.clip_norm)
+    batch = passes[0][1].shape[0]
+    noise = rng.normal(0.0, params.clip_norm * params.sigma, size=net.n_params)
+    update = (clipped + noise) / batch
+    return update, accumulate_step(ledger, params.sample_rate, params.sigma)
 
 
 def poisson_sample(n_rows: int, sample_rate: float, rng: np.random.Generator) -> np.ndarray:

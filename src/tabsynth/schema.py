@@ -218,8 +218,28 @@ def infer_schema(
     else becomes categorical with the vocabulary in order of first
     appearance.  ``overrides`` forces the kind of individual columns.
     """
-    overrides = dict(overrides or {})
     header, body = _parse_csv_text(text)
+    return _infer_from_rows(header, body, overrides, max_numeric_categories)
+
+
+def _leading_numbers(cells: list[str]) -> list[float]:
+    """Finite values of cells up to (not including) the first non-numeric one."""
+    numbers = []
+    for cell in cells:
+        value = _try_float(cell)
+        if value is None:
+            break
+        numbers.append(value)
+    return numbers
+
+
+def _infer_from_rows(
+    header: list[str],
+    body: list[list[str]],
+    overrides: dict[str, ColumnKind] | None = None,
+    max_numeric_categories: int = MAX_NUMERIC_CATEGORIES,
+) -> TableSchema:
+    overrides = dict(overrides or {})
     if not body:
         raise ParseError("cannot infer a schema without data rows")
     unknown = set(overrides) - set(header)
@@ -229,17 +249,16 @@ def infer_schema(
     columns = []
     for j, name in enumerate(header):
         cells = [row[j] for row in body]
-        numbers = [_try_float(c) for c in cells]
-        all_numeric = all(v is not None for v in numbers)
         forced = overrides.get(name)
+        numbers = [] if forced is ColumnKind.CATEGORICAL else _leading_numbers(cells)
+        all_numeric = len(numbers) == len(cells)
 
         if forced is ColumnKind.CONTINUOUS and not all_numeric:
-            bad = next(i for i, v in enumerate(numbers) if v is None)
+            bad = len(numbers)
             raise ParseError(f"row {bad}, column {name!r}: {cells[bad]!r} is not a finite number")
 
-        numeric = all_numeric and (forced is not ColumnKind.CATEGORICAL)
-        if numeric and forced is not ColumnKind.CONTINUOUS:
-            numeric = len(set(numbers)) > max_numeric_categories
+        numeric = all_numeric and (forced is ColumnKind.CONTINUOUS
+                                   or len(set(numbers)) > max_numeric_categories)
 
         if numeric:
             columns.append(
@@ -264,9 +283,9 @@ def infer_schema(
 
 def parse_table(text: str, schema: TableSchema | None = None) -> RawTable:
     """Parse delimited text into a typed table, inferring a schema if needed."""
-    if schema is None:
-        schema = infer_schema(text)
     header, body = _parse_csv_text(text)
+    if schema is None:
+        schema = _infer_from_rows(header, body)
     if list(header) != list(schema.names):
         raise SchemaError(f"header {header} does not match schema columns {list(schema.names)}")
     if not body:

@@ -105,6 +105,33 @@ def test_config_file_with_flag_overrides(tmp_path, data_csv):
     assert len(entries) == 3  # the flag beat the config file
 
 
+def test_unknown_config_keys_are_rejected(tmp_path, data_csv, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({
+        "data": str(data_csv), "model": "tablediffusion", "epoch": 2,
+        "out": str(tmp_path / "typo_model.json"),
+    }))
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert "unknown config key(s) for train: epoch" in capsys.readouterr().err
+    assert not (tmp_path / "typo_model.json").exists()  # nothing was trained
+    # model options that only a config file sets are accepted
+    cfg.write_text(json.dumps({
+        "data": str(data_csv), "model": "tablediffusion", "epochs": 1,
+        "width": 8, "blocks": 1, "out": str(tmp_path / "ok.json"),
+    }))
+    assert main(["train", "--config", str(cfg)]) == 0
+    # sample reads only model, rows and seed; evaluate reads no key at all
+    cfg.write_text(json.dumps({"model": str(tmp_path / "ok.json"), "rows": 5,
+                               "epochs": 3}))
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 1
+    cfg.write_text(json.dumps({"rows": 5}))
+    assert main(["evaluate", "--config", str(cfg), "--real", str(data_csv),
+                 "--synth", str(data_csv)]) == 1
+    cfg.write_text("{}")
+    assert main(["evaluate", "--config", str(cfg), "--real", str(data_csv),
+                 "--synth", str(data_csv)]) == 0
+
+
 def test_batch_size_warning_only_outside_tuned_range(tmp_path, data_csv, capsys):
     assert main(train_args(data_csv, tmp_path / "m.json", extra=["--batch", "100"])) == 0
     assert "outside the tuned range" in capsys.readouterr().err

@@ -92,6 +92,15 @@ def test_decode_stays_inside_schema_ranges():
         assert 0.0 <= cont <= 10.0
 
 
+def test_decode_never_rounds_past_the_range():
+    # (max - min) * 1 + min rounds one ulp above max for this pair.
+    lo, hi = -0.10228868553863764, 0.0010551220465447428
+    assert (hi - lo) * 1.0 + lo > hi
+    schema = TableSchema((ColumnSchema("v", ColumnKind.CONTINUOUS, minimum=lo, maximum=hi),))
+    rows = decode(np.array([[1.0], [2.0], [0.0], [-1.0]]), schema).rows
+    assert rows == [(hi,), (hi,), (lo,), (lo,)]
+
+
 def test_encode_rejects_invalid_rows():
     with pytest.raises(SchemaError):
         encode(RawTable(SCHEMA, [("D", 1.0)]))

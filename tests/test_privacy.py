@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 
 from tabsynth.accountant import accumulate_step, fresh_ledger, to_epsilon_delta
+from tabsynth.diffusion import DiffusionConfig, train_diffusion
+from tabsynth.encoding import encode
 from tabsynth.errors import PrivacyError
+from tabsynth.gan import GanConfig, train_dpwgan
+from tabsynth.nn import Network, build_critic, build_generator
 from tabsynth.privacy import (
     PrivacyParams,
     budget_exhausted,
     clip_per_sample,
+    dp_sgd_step,
     gaussian_sigma,
+    ghost_clip,
     poisson_sample,
     privatize_batch_gradient,
 )
+from tabsynth.schema import ColumnKind, ColumnSchema, RawTable, TableSchema
 
 
 def make_params(**kw):
@@ -175,3 +182,102 @@ def test_budget_check_trips_immediately_when_one_step_is_too_much():
 def test_params_validation(field, value):
     with pytest.raises(PrivacyError):
         make_params(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# The ghost-norm step against the materialized per-sample oracle
+
+
+def _generator_passes(width, steps, seed=0, batch=23, dim=7):
+    """T forward passes over one batch, loss gradients scaled by 1/T."""
+    rng = np.random.default_rng(seed)
+    net = build_generator(dim, dim, rng, width=width, blocks=2)
+    x = rng.normal(size=(batch, dim))
+    passes = []
+    for _ in range(steps):
+        y, caches = net.forward(x + rng.normal(size=x.shape), mode="train", rng=rng)
+        passes.append((caches, rng.normal(size=y.shape) / steps))
+    return net, passes
+
+
+def _critic_passes(seed=0, batch=31, dim=9):
+    """The critic's real/fake pair, dropout active: l_i = -f(real_i) + f(fake_i)."""
+    rng = np.random.default_rng(seed)
+    net = build_critic(dim, rng)
+    ones = np.ones((batch, 1))
+    _, caches_real = net.forward(rng.normal(size=(batch, dim)), mode="train", rng=rng)
+    _, caches_fake = net.forward(rng.normal(size=(batch, dim)), mode="train", rng=rng)
+    return net, [(caches_real, -ones), (caches_fake, ones)]
+
+
+def _materialized(net, passes):
+    return sum(net.backward(caches, grads, per_sample=True)[0] for caches, grads in passes)
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+CASES = [
+    pytest.param(lambda: _generator_passes(16, 1), id="groupnorm8-T1"),
+    pytest.param(lambda: _generator_passes(16, 5), id="groupnorm8-T5"),
+    pytest.param(lambda: _generator_passes(12, 1), id="groupnorm1-T1"),
+    pytest.param(lambda: _generator_passes(12, 5), id="groupnorm1-T5"),
+    pytest.param(_critic_passes, id="critic-dropout"),
+]
+
+
+@pytest.mark.parametrize("make", CASES)
+def test_ghost_norms_and_clipped_sum_match_per_sample_oracle(make):
+    net, passes = make()
+    grads = _materialized(net, passes)
+    oracle_norms = np.linalg.norm(grads, axis=1)
+    clip = float(np.median(oracle_norms))  # about half the rows get clipped
+    norms, clipped = ghost_clip(net, passes, clip)
+    assert np.max(np.abs(norms - oracle_norms) / oracle_norms) < 1e-12
+    assert _rel(clipped, clip_per_sample(grads, clip).sum(axis=0)) < 1e-12
+    assert (oracle_norms > clip).any() and (oracle_norms < clip).any()
+
+
+@pytest.mark.parametrize("make", CASES)
+def test_dp_sgd_step_equals_privatize_of_the_materialized_matrix(make):
+    net, passes = make()
+    grads = _materialized(net, passes)
+    params = make_params(clip_norm=float(np.median(np.linalg.norm(grads, axis=1))),
+                         sigma=0.7)
+    update, ledger = dp_sgd_step(net, passes, fresh_ledger(), params,
+                                 np.random.default_rng(9))
+    expected = privatize_batch_gradient(grads, params, np.random.default_rng(9))
+    assert _rel(update, expected) < 1e-12
+    assert ledger == accumulate_step(fresh_ledger(), params.sample_rate, params.sigma)
+
+
+TOY = TableSchema((
+    ColumnSchema("cat", ColumnKind.CATEGORICAL, vocabulary=("A", "B", "C")),
+    ColumnSchema("x", ColumnKind.CONTINUOUS, minimum=0.0, maximum=1.0),
+))
+
+
+def test_private_training_never_builds_per_sample_gradients(monkeypatch):
+    original = Network.backward
+
+    def batch_only(self, caches, loss_grads, per_sample=True):
+        if per_sample:
+            raise AssertionError("private training asked for per-sample gradients")
+        return original(self, caches, loss_grads, per_sample)
+
+    monkeypatch.setattr(Network, "backward", batch_only)
+    rng = np.random.default_rng(0)
+    rows = [("ABC"[rng.integers(3)], float(rng.random())) for _ in range(200)]
+    matrix = encode(RawTable(TOY, rows))
+    privacy = make_params(epsilon_target=1.0, sigma=2.0, sample_rate=0.05)
+
+    td = train_diffusion(matrix, DiffusionConfig(
+        steps=3, batch_target=10, epochs=50, width=16, blocks=1, privacy=privacy), seed=1)
+    gan = train_dpwgan(matrix, GanConfig(
+        batch_target=10, epochs=50, latent_dim=4, width=16, blocks=1,
+        privacy=privacy), seed=1)
+    for model in (td, gan):
+        assert model.halted_on_budget
+        assert model.ledger.steps_taken > 10
+        assert model.epsilon_spent <= privacy.epsilon_target

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from tabsynth import schema as schema_module
 from tabsynth.errors import ParseError, SchemaError
 from tabsynth.schema import (ColumnKind, ColumnSchema, RawTable, TableSchema,
-                             infer_schema, load_schema, load_table, parse_table,
-                             save_schema, table_to_text, write_table)
+                             _format_cell, infer_schema, load_schema, load_table,
+                             parse_table, save_schema, table_to_text, write_table)
 
 # 25 distinct weights so inference sees a measurement, not a code column
 CSV = "color,weight\n" + "".join(
@@ -154,3 +155,58 @@ def test_validate_catches_bad_cells():
         RawTable(schema, [("purple", 1.0)]).validate()
     with pytest.raises(SchemaError):
         RawTable(schema, []).validate()
+
+
+def _reference_inference(table, max_numeric_categories=20):
+    """Schema and rows that inference must give for a written typed table.
+
+    The rule applied straight to the typed cells: a numeric column with more
+    than max_numeric_categories distinct values stays continuous, anything
+    else becomes categorical over its written labels in first-appearance order.
+    """
+    columns, cells_by_column = [], []
+    for j, col in enumerate(table.schema.columns):
+        cells = [row[j] for row in table.rows]
+        if col.kind is ColumnKind.CONTINUOUS and len(set(cells)) > max_numeric_categories:
+            columns.append(ColumnSchema(col.name, ColumnKind.CONTINUOUS,
+                                        minimum=min(cells), maximum=max(cells),
+                                        integer_valued=all(v == int(v) for v in cells)))
+        else:
+            cells = [_format_cell(col, v) for v in cells]
+            columns.append(ColumnSchema(col.name, ColumnKind.CATEGORICAL,
+                                        vocabulary=tuple(dict.fromkeys(cells))))
+        cells_by_column.append(cells)
+    return TableSchema(tuple(columns)), list(zip(*cells_by_column))
+
+
+def test_load_without_schema_parses_the_text_once(tmp_path, monkeypatch):
+    from _datasets import adult_like_table, ring_table
+
+    calls = []
+    original = schema_module._parse_csv_text
+    monkeypatch.setattr(schema_module, "_parse_csv_text",
+                        lambda text: calls.append(1) or original(text))
+    for table in (adult_like_table(3000, seed=1), ring_table()[0]):
+        path = tmp_path / "table.csv"
+        write_table(table, path)
+        calls.clear()
+        loaded = load_table(path)
+        assert len(calls) == 1
+        schema, rows = _reference_inference(table)
+        assert loaded.schema == schema
+        assert loaded.rows == rows
+
+
+def test_inference_stops_converting_a_column_at_its_first_label(monkeypatch):
+    converted = []
+    original = schema_module._try_float
+    monkeypatch.setattr(schema_module, "_try_float",
+                        lambda cell: converted.append(cell) or original(cell))
+    text = "label,value\n" + "".join(f"x{i},{i}\n" for i in range(30))
+    schema = infer_schema(text)
+    assert schema.columns[0].kind is ColumnKind.CATEGORICAL
+    assert schema.columns[1].kind is ColumnKind.CONTINUOUS
+    assert [c for c in converted if c.startswith("x")] == ["x0"]
+    # a forced-continuous column still reports its first bad row
+    with pytest.raises(ParseError, match="row 2, column 'v'"):
+        infer_schema("v\n1\n2\nbad\n3\nworse\n", overrides={"v": ColumnKind.CONTINUOUS})
