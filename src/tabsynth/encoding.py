@@ -62,11 +62,10 @@ def encode(table: RawTable) -> EncodedMatrix:
     spans = column_spans(schema)
     out = np.zeros((table.n_rows, schema.encoded_width), dtype=np.float64)
 
-    for col, span in zip(schema.columns, spans):
-        cells = table.column_values(col.name)
+    for col, span, cells in zip(schema.columns, spans, zip(*table.rows)):
         if col.kind is ColumnKind.CATEGORICAL:
             index = {label: i for i, label in enumerate(col.vocabulary)}
-            hot = np.fromiter((index[c] for c in cells), dtype=np.int64, count=len(cells))
+            hot = np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
             out[np.arange(len(cells)), span.start + hot] = 1.0
         else:
             values = np.asarray(cells, dtype=np.float64)

@@ -26,7 +26,6 @@ DEFAULT_BINS = 64
 
 _IRLS_MAX_ITER = 100
 _IRLS_GRAD_TOL = 1e-8
-_JACOBI_TOL = 1e-12
 
 
 def _as_values(x) -> np.ndarray:
@@ -194,12 +193,17 @@ def _chi2_stat(real_counts: np.ndarray, synth_counts: np.ndarray):
     return chi2, dof, dropped
 
 
+def _chi2_distance_dropped(real_counts, synth_counts) -> tuple[float, int]:
+    """``chi2_distance`` and the number of categories the statistic dropped."""
+    chi2, dof, dropped = _chi2_stat(real_counts, synth_counts)
+    if dof <= 0:
+        return (0.0 if chi2 == 0.0 else 1.0), dropped
+    return 1.0 - gamma_q(dof / 2.0, chi2 / 2.0), dropped
+
+
 def chi2_distance(real_counts, synth_counts) -> float:
     """1 - p_value of the chi-squared comparison (0 = identical profiles)."""
-    chi2, dof, _ = _chi2_stat(real_counts, synth_counts)
-    if dof <= 0:
-        return 0.0 if chi2 == 0.0 else 1.0
-    return 1.0 - gamma_q(dof / 2.0, chi2 / 2.0)
+    return _chi2_distance_dropped(real_counts, synth_counts)[0]
 
 
 def marginal_distance(real: RawTable, synth: RawTable):
@@ -222,12 +226,8 @@ def marginal_distance(real: RawTable, synth: RawTable):
                 cr[index[tok]] += 1
             for tok in sv:
                 cs[index[tok]] += 1
-            chi2, dof, dropped = _chi2_stat(cr, cs)
+            dist, dropped = _chi2_distance_dropped(cr, cs)
             dropped_total += dropped
-            if dof <= 0:
-                dist = 0.0 if chi2 == 0.0 else 1.0
-            else:
-                dist = 1.0 - gamma_q(dof / 2.0, chi2 / 2.0)
         else:
             dist = ks_distance(rv, sv)
         per_feature.append((col.name, float(dist)))
@@ -299,47 +299,20 @@ def auprc(curves: PrecisionRecallCurves):
 # PCA projections
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = _JACOBI_TOL, max_sweeps: int = 100):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+def jacobi_eigh(matrix: np.ndarray):
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
     Returns (eigenvalues, eigenvectors) sorted descending; eigenvectors are
     columns, each signed so its largest-magnitude component is positive.
+    ``eigh`` reads only one triangle, so asymmetric input is rejected here.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-10):
         raise ValueError("jacobi_eigh expects a symmetric matrix")
-    d = a.shape[0]
-    v = np.eye(d)
-    for _ in range(max_sweeps):
-        off = np.max(np.abs(a - np.diag(np.diag(a)))) if d > 1 else 0.0
-        if off < tol:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) < tol:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot_p, rot_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * rot_p - s * rot_q
-                a[:, q] = s * rot_p + c * rot_q
-                rot_p, rot_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rot_p - s * rot_q
-                a[q, :] = s * rot_p + c * rot_q
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    order = np.argsort(np.diag(a))[::-1]
-    vals = np.diag(a)[order]
-    vecs = v[:, order]
-    for k in range(d):
-        lead = np.argmax(np.abs(vecs[:, k]))
-        if vecs[lead, k] < 0:
-            vecs[:, k] = -vecs[:, k]
-    return vals, vecs
+    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(a.shape[0])]
+    return vals, np.where(lead < 0, -vecs, vecs)
 
 
 @dataclass(frozen=True)

@@ -84,8 +84,8 @@ def ghost_clip(net: Network, passes, clip_norm: float) -> tuple[np.ndarray, np.n
 
     and GroupNorm's (batch, 2C) affine gradients are formed directly.
     The clipped sum is sum_i c_i G_i with c_i = 1 / max(1, |G_i| / C),
-    one GEMM per Dense layer over the stacked passes.  Returns
-    (norms, clipped_sum) of shapes (batch,) and (n_params,).
+    one GEMM per Dense layer over the passes concatenated along the batch
+    axis.  Returns (norms, clipped_sum) of shapes (batch,) and (n_params,).
     """
     if clip_norm <= 0.0:
         raise PrivacyError(f"clipping norm must be positive, got {clip_norm}")
@@ -95,18 +95,20 @@ def ghost_clip(net: Network, passes, clip_norm: float) -> tuple[np.ndarray, np.n
     layers = []
     for pairs in zip(*per_pass):
         layer, start = pairs[0].layer, pairs[0].start
-        a = np.stack([pair.a for pair in pairs], axis=1)  # (batch, passes, in)
-        g = np.stack([pair.g for pair in pairs], axis=1)  # (batch, passes, out)
+        a = [pair.a for pair in pairs]  # per pass: (batch, in)
+        g = [pair.g for pair in pairs]  # per pass: (batch, out)
         # rows: the per-sample gradients small enough to form directly.
         if isinstance(layer, Dense):
-            rows = g.sum(axis=1)
-            gram = (a @ a.transpose(0, 2, 1)) * (g @ g.transpose(0, 2, 1))
-            squared += gram.sum(axis=(1, 2))
+            rows = sum(g)
+            for t in range(len(pairs)):
+                squared += _row_dots(a[t], a[t]) * _row_dots(g[t], g[t])
+                for s in range(t):
+                    squared += 2.0 * _row_dots(a[t], a[s]) * _row_dots(g[t], g[s])
             layers.append((layer, start, a, g, rows))
         else:
-            rows = np.concatenate([(g * a).sum(axis=1), g.sum(axis=1)], axis=1)
+            rows = np.concatenate([sum(gt * at for gt, at in zip(g, a)), sum(g)], axis=1)
             layers.append((layer, start, None, None, rows))
-        squared += (rows * rows).sum(axis=1)
+        squared += _row_dots(rows, rows)
     norms = np.sqrt(squared)
     scale = 1.0 / np.maximum(1.0, norms / clip_norm)
 
@@ -115,10 +117,15 @@ def ghost_clip(net: Network, passes, clip_norm: float) -> tuple[np.ndarray, np.n
         stop = start + layer.n_params
         split = stop - rows.shape[1]
         if a is not None:
-            scaled = (g * scale[:, None, None]).reshape(-1, layer.out_dim)
-            clipped[start:split] = (scaled.T @ a.reshape(-1, layer.in_dim)).ravel()
+            scaled = np.concatenate([gt * scale[:, None] for gt in g])
+            clipped[start:split] = (scaled.T @ np.concatenate(a)).ravel()
         clipped[split:stop] = scale @ rows
     return norms, clipped
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (batch, width) arrays."""
+    return np.einsum("ij,ij->i", x, y)
 
 
 def dp_sgd_step(net: Network, passes, ledger: RdpLedger, params: PrivacyParams,

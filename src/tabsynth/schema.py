@@ -157,14 +157,15 @@ class RawTable:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def column_values(self, name: str) -> list:
-        idx = self.schema.names.index(name)
-        return [row[idx] for row in self.rows]
-
     def validate(self) -> None:
         """Check every cell against the schema; raises SchemaError on violation."""
         if not self.rows:
             raise SchemaError("table has no rows")
+        width = len(self.schema.columns)
+        if all(len(row) == width for row in self.rows) and all(
+                _cells_valid(col, cells) for col, cells in zip(self.schema.columns, zip(*self.rows))):
+            return
+        # Some check failed: scan row by row to report the first bad cell.
         for r, row in enumerate(self.rows):
             if len(row) != len(self.schema.columns):
                 raise SchemaError(f"row {r} has {len(row)} cells, expected {len(self.schema.columns)}")
@@ -175,6 +176,16 @@ class RawTable:
                 else:
                     if not isinstance(cell, float) or not math.isfinite(cell):
                         raise SchemaError(f"row {r}, column {col.name!r}: non-finite value {cell!r}")
+
+
+def _cells_valid(col: ColumnSchema, cells) -> bool:
+    """True iff every cell of one column is a known label or a finite float."""
+    if col.kind is ColumnKind.CATEGORICAL:
+        try:
+            return set(col.vocabulary).issuperset(cells)
+        except TypeError:  # an unhashable cell is no label
+            return False
+    return all(issubclass(t, float) for t in set(map(type, cells))) and all(map(math.isfinite, cells))
 
 
 def _parse_csv_text(text: str) -> tuple[list[str], list[list[str]]]:
@@ -222,8 +233,20 @@ def infer_schema(
     return _infer_from_rows(header, body, overrides, max_numeric_categories)
 
 
-def _leading_numbers(cells: list[str]) -> list[float]:
+def _finite_numbers(cells) -> list[float] | None:
+    """Every cell as a float, or None if any cell is not a finite number."""
+    try:
+        numbers = list(map(float, cells))
+    except ValueError:
+        return None
+    return numbers if all(map(math.isfinite, numbers)) else None
+
+
+def _leading_numbers(cells) -> list[float]:
     """Finite values of cells up to (not including) the first non-numeric one."""
+    numbers = _finite_numbers(cells)
+    if numbers is not None:
+        return numbers
     numbers = []
     for cell in cells:
         value = _try_float(cell)
@@ -247,8 +270,7 @@ def _infer_from_rows(
         raise SchemaError(f"override for unknown column(s): {sorted(unknown)}")
 
     columns = []
-    for j, name in enumerate(header):
-        cells = [row[j] for row in body]
+    for name, cells in zip(header, zip(*body)):
         forced = overrides.get(name)
         numbers = [] if forced is ColumnKind.CATEGORICAL else _leading_numbers(cells)
         all_numeric = len(numbers) == len(cells)
@@ -267,17 +289,12 @@ def _infer_from_rows(
                     ColumnKind.CONTINUOUS,
                     minimum=min(numbers),
                     maximum=max(numbers),
-                    integer_valued=all(v == int(v) for v in numbers),
+                    integer_valued=all(map(float.is_integer, numbers)),
                 )
             )
         else:
-            vocab: list[str] = []
-            seen = set()
-            for c in cells:
-                if c not in seen:
-                    seen.add(c)
-                    vocab.append(c)
-            columns.append(ColumnSchema(name, ColumnKind.CATEGORICAL, vocabulary=tuple(vocab)))
+            vocab = tuple(dict.fromkeys(cells))  # first-appearance order
+            columns.append(ColumnSchema(name, ColumnKind.CATEGORICAL, vocabulary=vocab))
     return TableSchema(tuple(columns))
 
 
@@ -291,6 +308,15 @@ def parse_table(text: str, schema: TableSchema | None = None) -> RawTable:
     if not body:
         raise SchemaError("table has no rows")
 
+    columns = []
+    for col, cells in zip(schema.columns, zip(*body)):
+        if col.kind is ColumnKind.CATEGORICAL:
+            columns.append(cells if _cells_valid(col, cells) else None)
+        else:
+            columns.append(_finite_numbers(cells))
+    if None not in columns:
+        return RawTable(schema, list(zip(*columns)))
+    # Some cell failed its check: scan row by row to report the first one.
     rows = []
     for r, raw in enumerate(body):
         row = []

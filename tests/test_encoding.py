@@ -108,6 +108,14 @@ def test_encode_rejects_invalid_rows():
         encode(RawTable(SCHEMA, [("A", float("nan"))]))
 
 
+def test_encode_reports_the_first_bad_cell_of_a_hand_built_table():
+    good = [("A", 1.0), ("B", 2.0), ("C", 3.0)]
+    with pytest.raises(SchemaError, match=r"^row 3, column 'cat': label 'D' not in vocabulary$"):
+        encode(RawTable(SCHEMA, good + [("D", 4.0), ("A", float("nan"))]))
+    with pytest.raises(SchemaError, match=r"^row 1, column 'cont': non-finite value nan$"):
+        encode(RawTable(SCHEMA, [("A", 1.0), ("B", float("nan")), ("D", 3.0)]))
+
+
 def test_decode_width_mismatch():
     with pytest.raises(SchemaError):
         decode(np.zeros((3, 5)), SCHEMA)

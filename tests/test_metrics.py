@@ -254,6 +254,28 @@ def test_jacobi_rejects_asymmetric_input():
         jacobi_eigh([[1.0, 2.0], [0.0, 1.0]])
 
 
+def test_eigen_contract_on_a_wide_one_hot_covariance():
+    # Width 200: blocks of 120, 4 x 15 and 10 one-hot columns, 9 continuous
+    # ones and a constant one.  Every block's columns sum to a constant, so
+    # the covariance has several exact-zero eigenvalues.
+    rng = np.random.default_rng(11)
+    n = 600
+    blocks = [np.eye(k)[rng.integers(0, k, size=n)] for k in (120, 15, 15, 15, 15, 10)]
+    x = np.concatenate(blocks + [rng.normal(size=(n, 9)), np.ones((n, 1))], axis=1)
+    assert x.shape[1] == 200
+    xc = x - x.mean(axis=0)
+    cov = (xc.T @ xc) / (n - 1)
+    vals, vecs = jacobi_eigh(cov)
+    top = vals[0]
+    assert np.all(np.diff(vals) <= 0.0)
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(cov)[::-1], rtol=0.0, atol=1e-9 * top)
+    assert np.sum(np.abs(vals) < 1e-9 * top) >= 7
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(200)]
+    assert np.all(lead > 0.0)
+    np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, cov, rtol=0.0, atol=1e-9 * top)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(200), rtol=0.0, atol=1e-9)
+
+
 def test_projection_identical_datasets_share_grids():
     x = np.random.default_rng(9).normal(size=(300, 5))
     result = pca_projection_histogram(x, x, bins=16)

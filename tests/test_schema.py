@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from tabsynth import schema as schema_module
@@ -61,6 +62,29 @@ def test_parse_reports_row_and_column_for_bad_number():
     schema = infer_schema(CSV)
     with pytest.raises(ParseError, match="weight"):
         parse_table("color,weight\nred,abc\n", schema)
+
+
+# weight (continuous) before color (categorical): the row-major first bad
+# cell can lie in a later row than another column's first bad cell.
+WEIGHT_COLOR = TableSchema((
+    ColumnSchema("weight", ColumnKind.CONTINUOUS, minimum=0.0, maximum=10.0),
+    ColumnSchema("color", ColumnKind.CATEGORICAL, vocabulary=("red", "blue")),
+))
+
+
+@pytest.mark.parametrize("body,error,message", [
+    ("1.0,green\n2.0,red\n3.0,blue\nabc,red\n", SchemaError,
+     "row 0, column 'color': label 'green' not in vocabulary"),
+    ("1.0,red\nabc,red\n3.0,blue\n4.0,green\n", ParseError,
+     "row 1, column 'weight': 'abc' is not a finite number"),
+    ("1.0,red\n2.0,blue\ninf,green\n", ParseError,
+     "row 2, column 'weight': 'inf' is not a finite number"),
+], ids=["label-before-number", "number-before-label", "infinity"])
+def test_parse_reports_the_row_major_first_bad_cell(body, error, message):
+    with pytest.raises(error) as info:
+        parse_table("weight,color\n" + body, WEIGHT_COLOR)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_parse_empty_and_headerless():
@@ -155,6 +179,22 @@ def test_validate_catches_bad_cells():
         RawTable(schema, [("purple", 1.0)]).validate()
     with pytest.raises(SchemaError):
         RawTable(schema, []).validate()
+
+
+def test_validate_reports_the_row_major_first_bad_cell():
+    def message(rows):
+        with pytest.raises(SchemaError) as info:
+            RawTable(WEIGHT_COLOR, rows).validate()
+        return str(info.value)
+
+    RawTable(WEIGHT_COLOR, [(1.0, "red"), (np.float64(2.0), "blue")]).validate()
+    assert message([(1.0, "red"), (2.0, "green"), (float("nan"), "blue")]) == (
+        "row 1, column 'color': label 'green' not in vocabulary")
+    assert message([(1.0, "red"), (3, "blue"), (2.0, "green")]) == (
+        "row 1, column 'weight': non-finite value 3")
+    assert message([(1.0, "red"), (2.0,), (2.0, "green")]) == "row 1 has 1 cells, expected 2"
+    assert message([(1.0, "red"), (2.0, ["red"])]) == (
+        "row 1, column 'color': label ['red'] not in vocabulary")
 
 
 def _reference_inference(table, max_numeric_categories=20):
