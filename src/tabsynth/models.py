@@ -1,12 +1,16 @@
 """Model facade: one entry point to train, sample, save and load.
 
-Bundles are JSON with full float64 round-trip (python's repr-based float
-formatting is shortest-exact), so save -> load -> sample reproduces the
-exact bytes that sampling before the save would have produced.
+Bundles are sorted-key JSON. From format version 2 the float arrays
+(parameters and Adam moments) are stored as base64 of their raw
+little-endian float64 bytes, so a load restores every value bit for bit and
+save -> load -> sample reproduces the exact bytes that sampling before the
+save would have produced. Version 1 bundles, which hold those arrays as JSON
+number lists, still load.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -23,7 +27,7 @@ from .nn import AdamState, Network
 from .privacy import PrivacyParams
 from .schema import ColumnKind, RawTable, TableSchema
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MODEL_KINDS = (NOISE_PREDICTOR, DENOISER, DPWGAN)
 
 
@@ -72,16 +76,48 @@ def _spans_from_json(payload) -> tuple[ColumnSpan, ...]:
     )
 
 
+def _array_to_json(array: np.ndarray) -> str:
+    raw = np.ascontiguousarray(array, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _array_from_json(value, version: int, name: str) -> np.ndarray:
+    """Decode one float array: a number list in v1, base64 of <f8 bytes in v2."""
+    if version == 1:
+        if not isinstance(value, list):
+            raise BundleError(f"{name} must be a list of numbers in a v1 bundle")
+        array = np.asarray(value, dtype=np.float64)
+    else:
+        if not isinstance(value, str):
+            raise BundleError(f"{name} must be a base64 string in a v{version} bundle")
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError as exc:  # binascii.Error, or non-ASCII text
+            raise BundleError(f"{name} is not valid base64: {exc}") from exc
+        if len(raw) % 8:
+            raise BundleError(f"{name} holds {len(raw)} bytes, not a whole number of float64s")
+        array = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(array).all():
+        raise BundleError(f"{name} holds non-finite values")
+    return array
+
+
 def _adam_to_json(state: AdamState) -> dict:
-    return {"m": state.m.tolist(), "v": state.v.tolist(), "t": state.t}
+    return {"m": _array_to_json(state.m), "v": _array_to_json(state.v), "t": state.t}
 
 
-def _adam_from_json(payload) -> AdamState:
-    return AdamState(
-        np.asarray(payload["m"], dtype=np.float64),
-        np.asarray(payload["v"], dtype=np.float64),
-        int(payload["t"]),
-    )
+def _adam_from_json(payload, version: int, n_params: int, where: str) -> AdamState:
+    moments = []
+    for key in ("m", "v"):
+        moment = _array_from_json(payload[key], version, f"{where}adam.{key}")
+        if moment.shape != (n_params,):
+            raise BundleError(f"{where}adam.{key} holds {moment.shape[0]} values "
+                              f"for {n_params} parameters")
+        moments.append(moment)
+    t = payload["t"]
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        raise BundleError(f"{where}adam.t must be a non-negative integer, got {t!r}")
+    return AdamState(*moments, t)
 
 
 def _config_to_json(config) -> dict:
@@ -114,35 +150,40 @@ def bundle_dict(model: TrainedDiffusion | TrainedGan) -> dict:
     }
     if isinstance(model, TrainedGan):
         payload["layer_specs"] = model.generator.layer_specs()
-        payload["parameters"] = model.generator.params.tolist()
+        payload["parameters"] = _array_to_json(model.generator.params)
         payload["adam"] = _adam_to_json(model.adam_generator)
         payload["critic"] = {
             "layer_specs": model.critic.layer_specs(),
-            "parameters": model.critic.params.tolist(),
+            "parameters": _array_to_json(model.critic.params),
             "adam": _adam_to_json(model.adam_critic),
         }
     else:
         payload["layer_specs"] = model.network.layer_specs()
-        payload["parameters"] = model.network.params.tolist()
+        payload["parameters"] = _array_to_json(model.network.params)
         payload["adam"] = _adam_to_json(model.adam)
     return payload
 
 
 def save_bundle(model: TrainedDiffusion | TrainedGan, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(bundle_dict(model)) + "\n", encoding="utf-8")
+    text = json.dumps(bundle_dict(model), sort_keys=True)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _network_from_json(specs, parameters) -> Network:
+def _network_from_json(payload: dict, version: int,
+                       where: str = "") -> tuple[Network, AdamState]:
+    """One network and its Adam state, from the keys a bundle stores for it."""
+    parameters = _array_from_json(payload["parameters"], version, f"{where}parameters")
     try:
-        return Network.from_specs(specs, np.asarray(parameters, dtype=np.float64))
+        network = Network.from_specs(payload["layer_specs"], parameters)
     except (ValueError, KeyError, TypeError) as exc:
         raise BundleError(f"cannot rebuild network: {exc}") from exc
+    return network, _adam_from_json(payload["adam"], version, network.n_params, where)
 
 
 def model_from_dict(payload: dict) -> TrainedDiffusion | TrainedGan:
     try:
         version = payload["format_version"]
-        if version != FORMAT_VERSION:
+        if version not in (1, FORMAT_VERSION):
             raise BundleError(f"unsupported bundle format version {version!r}")
         kind = payload["kind"]
         if kind not in MODEL_KINDS:
@@ -154,16 +195,12 @@ def model_from_dict(payload: dict) -> TrainedDiffusion | TrainedGan:
         raw_spent = payload["epsilon_spent"]
         epsilon_spent = None if raw_spent is None else float(raw_spent)
         seed = int(payload["seed"])
-        network = _network_from_json(payload["layer_specs"], payload["parameters"])
-        adam = _adam_from_json(payload["adam"])
+        network, adam = _network_from_json(payload, version)
         if kind == DPWGAN:
-            critic_payload = payload["critic"]
-            critic = _network_from_json(critic_payload["layer_specs"],
-                                        critic_payload["parameters"])
+            critic, adam_critic = _network_from_json(payload["critic"], version, "critic.")
             return TrainedGan(
                 kind=kind, schema=schema, spans=spans, generator=network,
-                critic=critic, adam_generator=adam,
-                adam_critic=_adam_from_json(critic_payload["adam"]),
+                critic=critic, adam_generator=adam, adam_critic=adam_critic,
                 config=config, ledger=ledger, epsilon_spent=epsilon_spent,
                 seed=seed,
             )

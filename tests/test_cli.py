@@ -181,6 +181,18 @@ def test_exit_codes_for_bad_input(tmp_path, data_csv):
     assert main(["evaluate", "--real", str(data_csv), "--synth", str(bad_synth)]) == 2
 
 
+def test_sample_rejects_a_corrupt_v2_bundle(tmp_path, data_csv, capsys):
+    bundle = tmp_path / "model.json"
+    assert main(train_args(data_csv, bundle)) == 0
+    payload = json.loads(bundle.read_text())
+    assert payload["format_version"] == 2
+    payload["parameters"] = payload["parameters"][:-3]
+    bundle.write_text(json.dumps(payload))
+    out = tmp_path / "synth.csv"
+    assert main(["sample", "--model", str(bundle), "--rows", "5", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_project_writes_grid_and_basis(tmp_path, data_csv, capsys):
     out = tmp_path / "proj.csv"
     assert main(["project", "--real", str(data_csv), "--synth", str(data_csv),

@@ -1,5 +1,6 @@
 """Bundle persistence: exact round trips and malformed-input handling."""
 
+import base64
 import json
 
 import numpy as np
@@ -166,3 +167,110 @@ def test_sample_table_decodes_into_schema(tmp_path):
     for label, x in table.rows:
         assert label in ("A", "B")
         assert 0.0 <= x <= 1.0
+
+
+def _networks(payload):
+    """The keys of each network a bundle payload stores: generator, then critic."""
+    return [payload] + ([payload["critic"]] if "critic" in payload else [])
+
+
+def _floats(text):
+    return np.frombuffer(base64.b64decode(text), dtype="<f8")
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def as_v1(payload):
+    """The same bundle in format version 1: float arrays as JSON number lists."""
+    payload = json.loads(json.dumps(payload))
+    payload["format_version"] = 1
+    for net in _networks(payload):
+        net["parameters"] = _floats(net["parameters"]).tolist()
+        for key in ("m", "v"):
+            net["adam"][key] = _floats(net["adam"][key]).tolist()
+    return payload
+
+
+def test_adam_state_round_trips_exactly(tmp_path):
+    diffusion, gan = diffusion_model(), gan_model()
+    for model, attr in [(diffusion, "adam"), (gan, "adam_generator"), (gan, "adam_critic")]:
+        state = getattr(model, attr)
+        assert state.t > 0 and np.any(state.m != 0) and np.any(state.v != 0)
+        path = tmp_path / f"{attr}.json"
+        save_bundle(model, path)
+        loaded = getattr(load_bundle(path), attr)
+        np.testing.assert_array_equal(loaded.m, state.m)
+        np.testing.assert_array_equal(loaded.v, state.v)
+        assert loaded.t == state.t
+
+
+def test_bundle_keys_are_sorted_and_arrays_are_base64(tmp_path):
+    path = tmp_path / "model.json"
+    model = gan_model()
+    save_bundle(model, path)
+
+    def check_sorted(pairs):
+        keys = [k for k, _ in pairs]
+        assert keys == sorted(keys)
+        return dict(pairs)
+
+    payload = json.loads(path.read_text(), object_pairs_hook=check_sorted)
+    assert payload["format_version"] == 2
+    assert isinstance(payload["ledger"]["steps"], int)
+    np.testing.assert_array_equal(_floats(payload["critic"]["parameters"]),
+                                  model.critic.params)
+
+
+def test_v1_bundles_still_load():
+    for model in (diffusion_model(), gan_model()):
+        payload = bundle_dict(model)
+        v1 = as_v1(payload)
+        assert isinstance(v1["parameters"], list)
+        from_v1, from_v2 = model_from_dict(v1), model_from_dict(payload)
+        assert sample_table(from_v1, 25, seed=3).rows == sample_table(from_v2, 25, seed=3).rows
+        assert sample_table(from_v1, 25, seed=3).rows == sample_table(model, 25, seed=3).rows
+
+
+def _corrupt(payload, net, field, value):
+    payload = json.loads(json.dumps(payload))
+    node = _networks(payload)[net]
+    target = node if field == "parameters" else node["adam"]
+    target[field] = value(target[field])
+    return payload
+
+
+@pytest.mark.parametrize("net", [0, 1])
+@pytest.mark.parametrize("field,value", [
+    ("parameters", lambda s: "not base64 at all!"),
+    ("parameters", lambda s: base64.b64encode(base64.b64decode(s)[:-3]).decode()),
+    ("parameters", lambda s: _b64(_floats(s)[:-1])),
+    ("parameters", lambda s: _floats(s).tolist()),
+    ("parameters", lambda s: _b64(np.where(np.arange(_floats(s).size) == 2, np.nan, _floats(s)))),
+    ("m", lambda s: _b64(_floats(s)[:5])),
+    ("v", lambda s: _b64(_floats(s)[:-1])),
+    ("m", lambda s: _b64(np.append(_floats(s)[:-1], np.inf))),
+    ("t", lambda t: -1),
+    ("t", lambda t: 2.5),
+], ids=["non-base64", "partial-float", "one-float-short", "list-in-v2", "nan-parameter",
+        "short-adam-m", "short-adam-v", "inf-adam-m", "negative-t", "float-t"])
+def test_load_rejects_corrupt_v2_arrays(net, field, value):
+    payload = bundle_dict(gan_model())
+    model_from_dict(payload)  # the untouched payload loads
+    with pytest.raises(BundleError):
+        model_from_dict(_corrupt(payload, net, field, value))
+
+
+def test_load_rejects_corrupt_v1_arrays():
+    v1 = as_v1(bundle_dict(diffusion_model()))
+    model_from_dict(v1)
+    bad = [
+        dict(v1, parameters=[float("nan")] + v1["parameters"][1:]),
+        dict(v1, parameters=_b64(v1["parameters"])),  # base64 in a v1 bundle
+        dict(v1, adam=dict(v1["adam"], v=v1["adam"]["v"][:5])),
+        dict(v1, adam=dict(v1["adam"], m=[float("inf")] * len(v1["adam"]["m"]))),
+    ]
+    for payload in bad:
+        with pytest.raises(BundleError):
+            model_from_dict(payload)
