@@ -199,6 +199,8 @@ class RdpLedger:
             raise PrivacyError(f"malformed ledger state: {exc}") from exc
         if len(accumulated) != len(orders):
             raise PrivacyError("ledger state length mismatch")
+        if steps < 0 or (steps == 0 and any(accumulated)):
+            raise PrivacyError(f"ledger state charges privacy over {steps} steps")
         return RdpLedger(orders, steps_taken=steps, baseline=accumulated)
 
 

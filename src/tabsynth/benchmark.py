@@ -19,13 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import DiffusionConfig
 from .encoding import encode
 from .errors import ConfigError
-from .gan import DPWGAN, GanConfig
 from .metrics import FidelityReport, evaluate
-from .models import MODEL_KINDS, make_config, sample_table, train_model
-from .privacy import PrivacyParams, gaussian_sigma
+from .models import MODEL_KINDS, make_config, option_keys, sample_table, train_model
+from .privacy import build_privacy
 from .schema import RawTable, load_schema, load_table
 
 REPORT_FIELDS = ("pmse_ratio", "marginal_distance", "alpha_precision_integral",
@@ -96,36 +94,22 @@ def load_plan_dataset(spec: DatasetSpec) -> RawTable:
     return table
 
 
-def _build_privacy(epsilon, delta: float, n_rows: int, options: dict) -> PrivacyParams | None:
-    if epsilon is None:
-        return None
-    batch = int(options.get("batch_target", 512))
-    sigma = float(options.get("sigma") or gaussian_sigma(epsilon, delta))
-    return PrivacyParams(
-        epsilon_target=float(epsilon),
-        delta=delta,
-        sigma=sigma,
-        clip_norm=float(options.get("clip_norm", 1.0)),
-        sample_rate=min(1.0, batch / n_rows),
-    )
-
-
 # Options a plan may set; each cell keeps only the keys its model understands,
 # so one option block can drive a sweep that mixes model families.
-_DIFFUSION_OPTION_KEYS = frozenset(DiffusionConfig.__dataclass_fields__) - {"privacy", "variant"}
-_GAN_OPTION_KEYS = frozenset(GanConfig.__dataclass_fields__) - {"privacy"}
 _PRIVACY_OPTION_KEYS = frozenset({"sigma", "clip_norm"})
+_OPTION_KEYS = frozenset().union(*map(option_keys, MODEL_KINDS)) | _PRIVACY_OPTION_KEYS
 
 
 def run_cell(table: RawTable, model_kind: str, epsilon, seed: int,
              delta: float = 1e-5, options: dict | None = None) -> FidelityReport:
     """Train, sample |table| rows, evaluate: one benchmark grid cell."""
     options = dict(options or {})
-    unknown = set(options) - _DIFFUSION_OPTION_KEYS - _GAN_OPTION_KEYS - _PRIVACY_OPTION_KEYS
+    unknown = set(options) - _OPTION_KEYS
     if unknown:
         raise ConfigError(f"unknown benchmark options: {', '.join(sorted(unknown))}")
-    privacy = _build_privacy(epsilon, delta, len(table.rows), options)
-    allowed = _GAN_OPTION_KEYS if model_kind == DPWGAN else _DIFFUSION_OPTION_KEYS
+    privacy = build_privacy(epsilon, delta, options.get("sigma"), options.get("clip_norm", 1.0),
+                            int(options.get("batch_target", 512)), len(table.rows))
+    allowed = option_keys(model_kind)
     config = make_config(model_kind, privacy=privacy,
                          **{k: v for k, v in options.items() if k in allowed})
     model = train_model(encode(table), config, seed)

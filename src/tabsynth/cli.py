@@ -20,9 +20,9 @@ from .errors import (BundleError, ConfigError, DegenerateDataError, ParseError,
                      PrivacyError, SchemaError, TabsynthError)
 from .encoding import encode
 from .metrics import DEFAULT_BINS, evaluate, pca_projection_histogram
-from .models import (MODEL_KINDS, load_bundle, make_config, sample_table,
+from .models import (MODEL_KINDS, load_bundle, make_config, option_keys, sample_table,
                      save_bundle, train_model)
-from .privacy import PrivacyParams, gaussian_sigma
+from .privacy import build_privacy
 from .schema import load_schema, load_table, write_table
 
 _DOMAIN_ERRORS = (ConfigError, SchemaError, PrivacyError)
@@ -64,9 +64,10 @@ def _require(cfg: dict, key: str):
 
 _TRAIN_KEYS = ("data", "schema", "model", "epsilon", "delta", "sigma", "clip",
                "batch", "epochs", "steps", "lr", "seed", "out")
-# Model options that only a config file sets.
-_MODEL_KEYS = ("width", "blocks", "critic_steps", "latent_dim", "weight_clamp",
-               "generator_lr", "critic_lr")
+# Model options that only a config file sets: every model kind's options
+# except those a flag sets (--batch sets batch_target).
+_MODEL_KEYS = tuple(sorted(frozenset().union(*map(option_keys, MODEL_KINDS))
+                           - set(_TRAIN_KEYS) - {"batch_target"}))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -84,33 +85,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     if batch not in _GOOD_BATCHES:
         print(f"warning: batch size {batch} is outside the tuned range 2^6..2^11",
               file=sys.stderr)
-    delta = float(cfg.get("delta", 1e-5))
-    privacy = None
-    if cfg.get("epsilon") is not None:
-        epsilon = float(cfg["epsilon"])
-        sigma = float(cfg["sigma"]) if cfg.get("sigma") is not None else gaussian_sigma(epsilon, delta)
-        privacy = PrivacyParams(
-            epsilon_target=epsilon, delta=delta, sigma=sigma,
-            clip_norm=float(cfg.get("clip", 1.0)),
-            sample_rate=min(1.0, batch / len(table.rows)))
+    privacy = build_privacy(cfg.get("epsilon"), cfg.get("delta", 1e-5), cfg.get("sigma"),
+                            cfg.get("clip", 1.0), batch, len(table.rows))
 
     options: dict = {"batch_target": batch}
     if cfg.get("epochs") is not None:
         options["epochs"] = int(cfg["epochs"])
     if cfg.get("lr") is not None:
-        lr = float(cfg["lr"])
-        if kind == "dpwgan":
-            options["generator_lr"] = lr
-            options["critic_lr"] = lr
-        else:
-            options["lr"] = lr
+        lr_keys = ("generator_lr", "critic_lr") if kind == "dpwgan" else ("lr",)
+        options.update(dict.fromkeys(lr_keys, float(cfg["lr"])))
     if cfg.get("steps") is not None:
-        if kind == "dpwgan":
-            raise ConfigError("--steps-T only applies to the diffusion models")
         options["steps"] = int(cfg["steps"])
-    for key in _MODEL_KEYS:
-        if key in cfg:
-            options[key] = cfg[key]
+    options.update((key, cfg[key]) for key in _MODEL_KEYS if key in cfg)
 
     model = train_model(encode(table), make_config(kind, privacy=privacy, **options), seed)
     out = Path(cfg.get("out") or "model.json")

@@ -9,9 +9,10 @@ spans) and samples by repeated application.
 
 Every batch is used at all T noise levels and the T per-sample losses
 are averaged before a single privatized update, so one batch costs one
-step of privacy budget regardless of T: ``dp_sgd_step`` clips each
-sample's gradient summed over the T passes, whose loss gradients are
-scaled by 1/T.
+step of privacy budget regardless of T.  The trainer builds the T
+noised passes; ``privacy.TrainingDriver`` runs the rest of the loop and
+clips each sample's gradient summed over the T passes, whose loss
+gradients it scales by 1/T.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accountant import RdpLedger, count_step, fresh_ledger, to_epsilon_delta
+from .accountant import RdpLedger
 from .encoding import ColumnSpan, EncodedMatrix
 from .errors import ConfigError
-from .nn import AdamState, Network, adam_step, build_generator
-from .privacy import PrivacyParams, budget_exhausted, dp_sgd_step, poisson_sample
+from .nn import AdamState, Network, build_generator
+from .privacy import PrivacyParams, TrainingDriver
 from .schema import ColumnKind, TableSchema
 
 NOISE_PREDICTOR = "tablediffusion"
@@ -153,37 +154,15 @@ class TrainedDiffusion:
 def train_diffusion(matrix: EncodedMatrix, config: DiffusionConfig, seed: int) -> TrainedDiffusion:
     rng = np.random.default_rng(seed)
     n_rows, width = matrix.values.shape
-    privacy = config.privacy
-    if privacy is not None and privacy.sample_rate > 1.0:
-        raise ConfigError("sample rate above 1")
-
     net = build_generator(width, width, rng, width=config.width, blocks=config.blocks)
-    adam = AdamState.zeros(net.n_params)
     betas = cosine_beta_schedule(config.steps)
-    ledger = fresh_ledger()
-
-    q = privacy.sample_rate if privacy else min(1.0, config.batch_target / n_rows)
-    batches_per_epoch = max(1, round(1.0 / q))
-    log: list[dict] = []
-    halted = False
-    batch_counter = 0
+    driver = TrainingDriver(net, config.lr, config.privacy, config.batch_target, n_rows, rng)
+    batches_per_epoch = max(1, round(1.0 / driver.q))
 
     for epoch in range(config.epochs):
-        if halted:
-            break
-        for _ in range(batches_per_epoch):
-            idx = poisson_sample(n_rows, q, rng)
-            if idx.size == 0:
-                continue  # skipped batches are never charged
-            if privacy is not None and budget_exhausted(ledger, privacy):
-                halted = True
-                break
+        for idx in driver.draws(batches_per_epoch):
             x = matrix.values[idx]
-
-            grad_sum = np.zeros(net.n_params)
             loss_sum = np.zeros(idx.size)
-            passes = []
-
             for t_index in range(config.steps):
                 noised, z = noise_step(x, float(betas[t_index]), rng)
                 y, caches = net.forward(noised, mode="train", rng=rng)
@@ -191,44 +170,24 @@ def train_diffusion(matrix: EncodedMatrix, config: DiffusionConfig, seed: int) -
                     losses, loss_grads = noise_loss_grads(y, z)
                 else:
                     losses, loss_grads = denoiser_loss_grads(y, x, matrix.spans)
-                if privacy is not None:
-                    passes.append((caches, loss_grads / config.steps))
-                else:
-                    grads, _ = net.backward(caches, loss_grads, per_sample=False)
-                    grad_sum += grads
+                driver.add(caches, loss_grads)
                 loss_sum += losses
+            driver.apply(config.steps, float(loss_sum.mean() / config.steps), epoch, "diffusion")
+        if driver.halted:
+            break
 
-            if privacy is not None:
-                update, ledger = dp_sgd_step(net, passes, ledger, privacy, rng)
-            else:
-                grad_sum /= config.steps
-                update = grad_sum
-                ledger = count_step(ledger)
-            net.params, adam = adam_step(net.params, update, adam, config.lr)
-
-            epsilon = to_epsilon_delta(ledger, privacy.delta) if privacy else None
-            log.append({
-                "epoch": epoch,
-                "batch": batch_counter,
-                "kind": "diffusion",
-                "loss": float(loss_sum.mean() / config.steps),
-                "epsilon": epsilon,
-            })
-            batch_counter += 1
-
-    epsilon_spent = to_epsilon_delta(ledger, privacy.delta) if privacy else None
     return TrainedDiffusion(
         kind=config.variant,
         schema=matrix.schema,
         spans=matrix.spans,
         network=net,
-        adam=adam,
+        adam=driver.adam,
         config=config,
-        ledger=ledger,
-        epsilon_spent=epsilon_spent,
+        ledger=driver.ledger,
+        epsilon_spent=driver.epsilon,
         seed=seed,
-        log=log,
-        halted_on_budget=halted,
+        log=driver.log,
+        halted_on_budget=driver.halted,
     )
 
 

@@ -5,6 +5,8 @@ noised and charged to the ledger.  The generator trains on critic scores
 alone and inherits privacy through post-processing.  Lipschitz control
 is the classic weight clamp, not a gradient penalty — a penalty would
 need per-sample gradients of gradients, which the kernel does not do.
+``privacy.TrainingDriver`` runs the critic's batch loop; the trainer builds
+its real/fake pair, clamps it and runs the generator updates.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accountant import RdpLedger, count_step, fresh_ledger, to_epsilon_delta
+from .accountant import RdpLedger
 from .encoding import ColumnSpan, EncodedMatrix
 from .errors import ConfigError
 from .nn import AdamState, Network, adam_step, build_critic, build_generator
-from .privacy import PrivacyParams, budget_exhausted, dp_sgd_step, poisson_sample
+from .privacy import PrivacyParams, TrainingDriver
 from .schema import TableSchema
 
 DPWGAN = "dpwgan"
@@ -73,34 +75,17 @@ class TrainedGan:
 def train_dpwgan(matrix: EncodedMatrix, config: GanConfig, seed: int) -> TrainedGan:
     rng = np.random.default_rng(seed)
     n_rows, width = matrix.values.shape
-    privacy = config.privacy
-
     generator = build_generator(config.latent_dim, width, rng,
                                 width=config.width, blocks=config.blocks)
     critic = build_critic(width, rng)
     adam_g = AdamState.zeros(generator.n_params)
-    adam_c = AdamState.zeros(critic.n_params)
-    ledger = fresh_ledger()
-
-    q = privacy.sample_rate if privacy else min(1.0, config.batch_target / n_rows)
-    cycles_per_epoch = max(1, round(1.0 / q / config.critic_steps))
-    log: list[dict] = []
-    halted = False
-    batch_counter = 0
+    driver = TrainingDriver(critic, config.critic_lr, config.privacy, config.batch_target,
+                            n_rows, rng)
+    cycles_per_epoch = max(1, round(1.0 / driver.q / config.critic_steps))
 
     for epoch in range(config.epochs):
-        if halted:
-            break
         for _ in range(cycles_per_epoch):
-            if halted:
-                break
-            for _ in range(config.critic_steps):
-                idx = poisson_sample(n_rows, q, rng)
-                if idx.size == 0:
-                    continue
-                if privacy is not None and budget_exhausted(ledger, privacy):
-                    halted = True
-                    break
+            for idx in driver.draws(config.critic_steps):
                 real = matrix.values[idx]
                 z = rng.standard_normal((idx.size, config.latent_dim))
                 fake, _ = generator.forward(z, mode="train", rng=rng)
@@ -110,29 +95,12 @@ def train_dpwgan(matrix: EncodedMatrix, config: GanConfig, seed: int) -> Trained
                 score_real, caches_real = critic.forward(real, mode="train", rng=rng)
                 score_fake, caches_fake = critic.forward(fake, mode="train", rng=rng)
                 ones = np.ones((idx.size, 1))
-                if privacy is not None:
-                    update, ledger = dp_sgd_step(
-                        critic, [(caches_real, -ones), (caches_fake, ones)],
-                        ledger, privacy, rng)
-                else:
-                    grads_real, _ = critic.backward(caches_real, -ones, per_sample=False)
-                    grads_fake, _ = critic.backward(caches_fake, ones, per_sample=False)
-                    update = grads_real + grads_fake
-                    ledger = count_step(ledger)
-                critic.params, adam_c = adam_step(critic.params, update, adam_c, config.critic_lr)
+                driver.add(caches_real, -ones)
+                driver.add(caches_fake, ones)
+                driver.apply(1, float(score_fake.mean() - score_real.mean()), epoch, "critic")
                 np.clip(critic.params, -config.weight_clamp, config.weight_clamp,
                         out=critic.params)
-
-                epsilon = to_epsilon_delta(ledger, privacy.delta) if privacy else None
-                log.append({
-                    "epoch": epoch,
-                    "batch": batch_counter,
-                    "kind": "critic",
-                    "loss": float(score_fake.mean() - score_real.mean()),
-                    "epsilon": epsilon,
-                })
-                batch_counter += 1
-            if halted:
+            if driver.halted:
                 break
 
             # Generator update: scores only, no real rows anywhere in this block.
@@ -144,16 +112,10 @@ def train_dpwgan(matrix: EncodedMatrix, config: GanConfig, seed: int) -> Trained
             gen_grads, _ = generator.backward(caches_gen, input_grads, per_sample=False)
             generator.params, adam_g = adam_step(generator.params, gen_grads, adam_g,
                                                  config.generator_lr)
-            epsilon = to_epsilon_delta(ledger, privacy.delta) if privacy else None
-            log.append({
-                "epoch": epoch,
-                "batch": batch_counter,
-                "kind": "generator",
-                "loss": float(-score.mean()),
-                "epsilon": epsilon,
-            })
+            driver.record(epoch, "generator", float(-score.mean()))
+        if driver.halted:
+            break
 
-    epsilon_spent = to_epsilon_delta(ledger, privacy.delta) if privacy else None
     return TrainedGan(
         kind=DPWGAN,
         schema=matrix.schema,
@@ -161,13 +123,13 @@ def train_dpwgan(matrix: EncodedMatrix, config: GanConfig, seed: int) -> Trained
         generator=generator,
         critic=critic,
         adam_generator=adam_g,
-        adam_critic=adam_c,
+        adam_critic=driver.adam,
         config=config,
-        ledger=ledger,
-        epsilon_spent=epsilon_spent,
+        ledger=driver.ledger,
+        epsilon_spent=driver.epsilon,
         seed=seed,
-        log=log,
-        halted_on_budget=halted,
+        log=driver.log,
+        halted_on_budget=driver.halted,
     )
 
 

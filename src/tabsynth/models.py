@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .accountant import RdpLedger
+from .accountant import RdpLedger, to_epsilon_delta
 from .diffusion import (DENOISER, NOISE_PREDICTOR, DiffusionConfig, TrainedDiffusion,
                         sample_diffusion, train_diffusion)
 from .encoding import ColumnSpan, EncodedMatrix, decode
@@ -29,6 +29,7 @@ from .schema import ColumnKind, RawTable, TableSchema
 
 FORMAT_VERSION = 2
 MODEL_KINDS = (NOISE_PREDICTOR, DENOISER, DPWGAN)
+_EPSILON_TOLERANCE = 1e-9  # stored epsilon_spent against the ledger's
 
 
 def train_model(matrix: EncodedMatrix, config: DiffusionConfig | GanConfig,
@@ -40,13 +41,24 @@ def train_model(matrix: EncodedMatrix, config: DiffusionConfig | GanConfig,
     raise ConfigError(f"unknown config type {type(config).__name__}")
 
 
+def option_keys(kind: str) -> frozenset[str]:
+    """The options ``make_config`` reads for a model kind: the fields of its
+    config class other than ``variant`` and ``privacy``."""
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}; choose one of {', '.join(MODEL_KINDS)}")
+    config = GanConfig if kind == DPWGAN else DiffusionConfig
+    return frozenset(f.name for f in fields(config)) - {"variant", "privacy"}
+
+
 def make_config(kind: str, privacy: PrivacyParams | None = None, **options):
-    """Build the right config dataclass for a model kind from flat options."""
-    if kind in (NOISE_PREDICTOR, DENOISER):
-        return DiffusionConfig(variant=kind, privacy=privacy, **options)
+    """Build the right config dataclass for a model kind from flat options;
+    an option the kind does not read is a ConfigError that names it."""
+    unknown = sorted(set(options) - option_keys(kind))
+    if unknown:
+        raise ConfigError(f"{kind} does not read option(s): {', '.join(unknown)}")
     if kind == DPWGAN:
         return GanConfig(privacy=privacy, **options)
-    raise ConfigError(f"unknown model kind {kind!r}; choose one of {', '.join(MODEL_KINDS)}")
+    return DiffusionConfig(variant=kind, privacy=privacy, **options)
 
 
 def sample_encoded(model, rows: int, rng: np.random.Generator) -> np.ndarray:
@@ -180,6 +192,23 @@ def _network_from_json(payload: dict, version: int,
     return network, _adam_from_json(payload["adam"], version, network.n_params, where)
 
 
+def _checked_epsilon(payload: dict, privacy: PrivacyParams | None,
+                     ledger: RdpLedger) -> float | None:
+    """The stored epsilon_spent, once it agrees with the ledger and the stored
+    delta with the config; both are null in an unprivatized bundle."""
+    spent, delta = payload["epsilon_spent"], payload["delta"]
+    if privacy is None:
+        if spent is not None or delta is not None:
+            raise BundleError("an unprivatized bundle must store null epsilon_spent and delta")
+        return None
+    if delta != privacy.delta:
+        raise BundleError(f"stored delta {delta!r} is not the config's {privacy.delta!r}")
+    spent, epsilon = float(spent), to_epsilon_delta(ledger, privacy.delta)
+    if not abs(spent - epsilon) <= _EPSILON_TOLERANCE:
+        raise BundleError(f"stored epsilon_spent {spent!r} is not the ledger's {epsilon!r}")
+    return spent
+
+
 def model_from_dict(payload: dict) -> TrainedDiffusion | TrainedGan:
     try:
         version = payload["format_version"]
@@ -192,8 +221,7 @@ def model_from_dict(payload: dict) -> TrainedDiffusion | TrainedGan:
         spans = _spans_from_json(payload["spans"])
         config = _config_from_json(kind, payload["config"])
         ledger = RdpLedger.from_state(payload["ledger"])
-        raw_spent = payload["epsilon_spent"]
-        epsilon_spent = None if raw_spent is None else float(raw_spent)
+        epsilon_spent = _checked_epsilon(payload, config.privacy, ledger)
         seed = int(payload["seed"])
         network, adam = _network_from_json(payload, version)
         if kind == DPWGAN:

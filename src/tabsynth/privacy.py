@@ -6,10 +6,13 @@ batch size.  Batches are Poisson subsamples so the accountant's
 subsampling amplification applies; empty batches are simply skipped and
 never charged.
 
-Both trainers take their private updates from ``dp_sgd_step``, which
-clips from ghost norms (``ghost_clip``): each sample's gradient norm and
-the clipped sum come from the layer inputs and output gradients of
-ordinary batch backprop, so no (batch, n_params) matrix is built.
+Both trainers run their batch loop (draw, budget halt, update, ledger,
+log) through one ``TrainingDriver`` and only build their forward passes;
+the CLI and the benchmark sweep build ``PrivacyParams`` with
+``build_privacy``.  Private updates come from ``dp_sgd_step``, which clips
+from ghost norms (``ghost_clip``): each sample's gradient norm and the
+clipped sum come from the layer inputs and output gradients of ordinary
+batch backprop, so no (batch, n_params) matrix is built.
 ``clip_per_sample`` and ``privatize_batch_gradient`` apply the same rule
 to a materialized per-sample gradient matrix and are kept as the
 reference the step is tested against.
@@ -22,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import RdpLedger, accumulate_step, to_epsilon_delta
+from .accountant import (RdpLedger, accumulate_step, count_step, fresh_ledger,
+                         to_epsilon_delta)
 from .errors import PrivacyError
-from .nn import Dense, Network
+from .nn import AdamState, Dense, Network, adam_step
 
 
 @dataclass(frozen=True)
@@ -154,6 +158,17 @@ def poisson_sample(n_rows: int, sample_rate: float, rng: np.random.Generator) ->
     return np.flatnonzero(mask)
 
 
+def build_privacy(epsilon, delta: float, sigma, clip_norm: float, batch_target: int,
+                  n_rows: int) -> PrivacyParams | None:
+    """PrivacyParams at q = min(1, batch_target / n_rows), or None without a
+    budget; a sigma of None means ``gaussian_sigma(epsilon, delta)``."""
+    if epsilon is None:
+        return None
+    epsilon, delta = float(epsilon), float(delta)
+    sigma = gaussian_sigma(epsilon, delta) if sigma is None else float(sigma)
+    return PrivacyParams(epsilon, delta, sigma, float(clip_norm), min(1.0, batch_target / n_rows))
+
+
 def gaussian_sigma(epsilon: float, delta: float) -> float:
     """Classical Gaussian-mechanism calibration sigma = sqrt(2 ln(1.25/delta)) / epsilon.
 
@@ -175,3 +190,63 @@ def budget_exhausted(ledger: RdpLedger, params: PrivacyParams) -> bool:
     """
     hypothetical = accumulate_step(ledger, params.sample_rate, params.sigma)
     return to_epsilon_delta(hypothetical, params.delta) > params.epsilon_target
+
+
+class TrainingDriver:
+    """The batch loop both trainers share, around the network ``net``.
+
+    ``draws`` yields Poisson batches, ``add`` takes each forward pass over
+    the batch and ``apply`` makes one Adam step of ``net`` from them: in a
+    private run through ``dp_sgd_step`` and a ledger charge, otherwise from
+    the batch gradients, each backpropagated when its pass is added.
+    """
+
+    def __init__(self, net: Network, lr: float, privacy: PrivacyParams | None,
+                 batch_target: int, n_rows: int, rng: np.random.Generator):
+        self.net, self.lr, self.privacy, self.rng, self.n_rows = net, lr, privacy, rng, n_rows
+        self.q = privacy.sample_rate if privacy else min(1.0, batch_target / n_rows)
+        self.adam, self.ledger = AdamState.zeros(net.n_params), fresh_ledger()
+        self.epsilon = to_epsilon_delta(self.ledger, privacy.delta) if privacy else None
+        self.log: list[dict] = []
+        self.batch, self.halted = 0, False
+        self._passes, self._grad = [], np.zeros(net.n_params)
+
+    def draws(self, count: int):
+        """Up to ``count`` Poisson batches of row indices.  An empty draw is
+        skipped and never charged; before a batch whose step would pass the
+        budget, ``halted`` is set and the draws stop."""
+        for _ in range(count):
+            idx = poisson_sample(self.n_rows, self.q, self.rng)
+            if idx.size == 0:
+                continue
+            if self.privacy is not None and budget_exhausted(self.ledger, self.privacy):
+                self.halted = True
+                return
+            yield idx
+
+    def add(self, caches, loss_grads: np.ndarray) -> None:
+        if self.privacy is not None:
+            self._passes.append((caches, loss_grads))
+        else:
+            self._grad += self.net.backward(caches, loss_grads, per_sample=False)[0]
+
+    def apply(self, divisor: int, loss: float, epoch: int, kind: str) -> None:
+        """One update from the passes added since the last call, their
+        gradients divided by ``divisor``, and its log row."""
+        if self.privacy is not None:
+            passes = [(caches, grads / divisor) for caches, grads in self._passes]
+            update, self.ledger = dp_sgd_step(self.net, passes, self.ledger,
+                                              self.privacy, self.rng)
+            self.epsilon = to_epsilon_delta(self.ledger, self.privacy.delta)
+            self._passes = []
+        else:
+            update = self._grad / divisor
+            self._grad.fill(0.0)
+            self.ledger = count_step(self.ledger)
+        self.net.params, self.adam = adam_step(self.net.params, update, self.adam, self.lr)
+        self.record(epoch, kind, loss)
+        self.batch += 1
+
+    def record(self, epoch: int, kind: str, loss: float) -> None:
+        self.log.append({"epoch": epoch, "batch": self.batch, "kind": kind,
+                         "loss": loss, "epsilon": self.epsilon})

@@ -16,7 +16,7 @@ from tabsynth.benchmark import (
     run_cell,
     worker_count,
 )
-from tabsynth.errors import ConfigError
+from tabsynth.errors import ConfigError, PrivacyError
 from tabsynth.metrics import FidelityReport
 from tabsynth.schema import RawTable, infer_schema, parse_table, save_schema, write_table
 
@@ -131,6 +131,20 @@ def test_run_cell_rejects_unknown_options(tmp_path):
     table = load_plan_dataset(DatasetSpec("toy", str(path)))
     with pytest.raises(ConfigError, match="tempurature"):
         run_cell(table, "tablediffusion", None, 0, options={"tempurature": 2})
+
+
+def test_a_zero_sigma_fails_its_cell(tmp_path):
+    # sigma must be positive when set; only an omitted sigma is calibrated
+    path, _ = tiny_csv(tmp_path)
+    table = load_plan_dataset(DatasetSpec("toy", str(path)))
+    with pytest.raises(PrivacyError, match="noise multiplier"):
+        run_cell(table, "tablediffusion", 1.0, 0, options=dict(FAST_OPTIONS, sigma=0))
+    rows, failures = run_benchmark(
+        small_plan(path, epsilons=(1.0,), options=dict(FAST_OPTIONS, sigma=0)),
+        tmp_path / "out")
+    assert rows == []
+    assert len(failures) == 1 and "PrivacyError" in failures[0]["error"]
+    assert json.loads((tmp_path / "out" / "failures.json").read_text()) == failures
 
 
 def test_sweep_writes_reports_and_aggregates(tmp_path):

@@ -132,6 +132,15 @@ def test_unknown_config_keys_are_rejected(tmp_path, data_csv, capsys):
                  "--synth", str(data_csv)]) == 0
 
 
+def test_a_model_key_the_chosen_model_does_not_read_exits_1(tmp_path, data_csv, capsys):
+    cfg = tmp_path / "gan_key.json"
+    cfg.write_text(json.dumps({"latent_dim": 8}))
+    out = tmp_path / "m.json"
+    assert main(["train", "--config", str(cfg), *train_args(data_csv, out)[1:]]) == 1
+    assert "latent_dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_batch_size_warning_only_outside_tuned_range(tmp_path, data_csv, capsys):
     assert main(train_args(data_csv, tmp_path / "m.json", extra=["--batch", "100"])) == 0
     assert "outside the tuned range" in capsys.readouterr().err
@@ -190,6 +199,20 @@ def test_sample_rejects_a_corrupt_v2_bundle(tmp_path, data_csv, capsys):
     bundle.write_text(json.dumps(payload))
     out = tmp_path / "synth.csv"
     assert main(["sample", "--model", str(bundle), "--rows", "5", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_sample_rejects_a_bundle_whose_epsilon_disagrees_with_its_ledger(tmp_path, data_csv,
+                                                                       capsys):
+    bundle = tmp_path / "model.json"
+    assert main(train_args(data_csv, bundle, extra=["--epsilon", "1", "--sigma", "1.5"])) == 0
+    payload = json.loads(bundle.read_text())
+    assert payload["epsilon_spent"] is not None
+    payload["epsilon_spent"] = 50.0
+    bundle.write_text(json.dumps(payload))
+    out = tmp_path / "synth.csv"
+    assert main(["sample", "--model", str(bundle), "--rows", "5", "--out", str(out)]) == 2
+    assert "epsilon_spent" in capsys.readouterr().err
     assert not out.exists()
 
 

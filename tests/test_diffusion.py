@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tabsynth.accountant import fresh_ledger, to_epsilon_delta
 from tabsynth.diffusion import (
     DENOISER,
     NOISE_PREDICTOR,
@@ -172,6 +173,21 @@ def test_privatized_training_halts_within_budget():
     eps_path = [entry["epsilon"] for entry in model.log]
     assert eps_path == sorted(eps_path)
     assert model.epsilon_spent == eps_path[-1]
+
+
+def test_privatized_training_can_halt_before_its_first_step():
+    # The fresh ledger already reads 0.0225 at delta 1e-5, so the first
+    # charge would pass a 0.01 target: training halts with nothing spent.
+    privacy = PrivacyParams(
+        epsilon_target=0.01, delta=1e-5, sigma=1.5, clip_norm=1.0, sample_rate=0.5
+    )
+    config = DiffusionConfig(steps=2, batch_target=20, epochs=3, width=8, blocks=1,
+                             privacy=privacy)
+    model = train_diffusion(tiny_matrix(), config, seed=0)
+    assert model.ledger.steps_taken == 0
+    assert model.log == []
+    assert model.halted_on_budget
+    assert model.epsilon_spent == to_epsilon_delta(fresh_ledger(), privacy.delta)
 
 
 def test_sampling_shapes_and_determinism():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tabsynth.accountant import fresh_ledger, to_epsilon_delta
 from tabsynth.encoding import encode
 from tabsynth.errors import ConfigError
 from tabsynth.gan import DPWGAN, GanConfig, sample_gan, train_dpwgan
@@ -89,6 +90,19 @@ def test_ledger_charges_critic_steps_only():
         assert entry["epsilon"] == max(prior)
     path = [e["epsilon"] for e in critic_entries]
     assert path == sorted(path)
+
+
+def test_privatized_training_can_halt_before_its_first_step():
+    # The first critic charge would already pass a 0.01 target, so neither
+    # network is updated and no generator row is logged.
+    privacy = PrivacyParams(
+        epsilon_target=0.01, delta=1e-5, sigma=1.5, clip_norm=1.0, sample_rate=0.5
+    )
+    model = train_dpwgan(tiny_matrix(), small_config(privacy=privacy), seed=0)
+    assert model.ledger.steps_taken == 0
+    assert model.log == []
+    assert model.halted_on_budget
+    assert model.epsilon_spent == to_epsilon_delta(fresh_ledger(), privacy.delta)
 
 
 def test_training_is_reproducible():

@@ -15,6 +15,7 @@ from tabsynth.models import (
     load_bundle,
     make_config,
     model_from_dict,
+    option_keys,
     sample_encoded,
     sample_table,
     save_bundle,
@@ -56,6 +57,20 @@ def test_make_config_dispatch():
         train_model(tiny_matrix(), object(), seed=0)
     with pytest.raises(ConfigError):
         sample_encoded(object(), 5, np.random.default_rng(0))
+
+
+def test_make_config_rejects_options_the_model_does_not_read():
+    assert option_keys(NOISE_PREDICTOR) == option_keys(DENOISER) == {
+        "steps", "batch_target", "epochs", "lr", "width", "blocks"}
+    assert option_keys("dpwgan") == {
+        "batch_target", "epochs", "generator_lr", "critic_lr", "critic_steps",
+        "latent_dim", "weight_clamp", "width", "blocks"}
+    with pytest.raises(ConfigError, match="latent_dim"):
+        make_config(NOISE_PREDICTOR, latent_dim=8)
+    with pytest.raises(ConfigError, match="steps"):
+        make_config("dpwgan", steps=3)
+    with pytest.raises(ConfigError, match="copula"):
+        option_keys("copula")
 
 
 def test_diffusion_round_trip_is_exact(tmp_path):
@@ -103,6 +118,35 @@ def test_privatized_epsilon_survives_the_round_trip(tmp_path):
     assert loaded.config.privacy == privacy
     # restored ledger reports the same epsilon and keeps accumulating
     assert loaded.ledger.steps_taken == model.ledger.steps_taken
+
+
+PRIVACY = PrivacyParams(epsilon_target=1.0, delta=1e-5, sigma=1.5, clip_norm=1.0,
+                        sample_rate=0.032)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(epsilon_spent=float("nan")),
+    lambda p: p.update(epsilon_spent=-3.0),
+    lambda p: p.update(epsilon_spent=50.0),
+    lambda p: p.update(delta=0.5),
+    lambda p: p["ledger"].update(steps=0),
+], ids=["epsilon-nan", "epsilon-negative", "epsilon-above-ledger", "delta", "zero-steps"])
+def test_load_rejects_privacy_metadata_the_ledger_does_not_back(edit):
+    payload = bundle_dict(diffusion_model(privacy=PRIVACY))
+    assert payload["ledger"]["steps"] > 0
+    model_from_dict(payload)  # the untouched payload loads
+    edited = json.loads(json.dumps(payload))
+    edit(edited)
+    with pytest.raises(BundleError):
+        model_from_dict(edited)
+
+
+@pytest.mark.parametrize("key,value", [("epsilon_spent", 0.5), ("delta", 1e-5)])
+def test_unprivatized_bundles_store_no_privacy_metadata(key, value):
+    payload = bundle_dict(diffusion_model())
+    assert payload["epsilon_spent"] is None and payload["delta"] is None
+    with pytest.raises(BundleError):
+        model_from_dict(dict(payload, **{key: value}))
 
 
 def test_saving_is_byte_deterministic(tmp_path):

@@ -14,6 +14,7 @@ from tabsynth.nn import Network, build_critic, build_generator
 from tabsynth.privacy import (
     PrivacyParams,
     budget_exhausted,
+    build_privacy,
     clip_per_sample,
     dp_sgd_step,
     gaussian_sigma,
@@ -143,6 +144,18 @@ def test_gaussian_sigma_reference_point():
         gaussian_sigma(0.0, 1e-5)
     with pytest.raises(PrivacyError):
         gaussian_sigma(1.0, 1.0)
+
+
+def test_build_privacy():
+    assert build_privacy(None, 1e-5, 1.5, 1.0, 64, 1000) is None
+    params = build_privacy(1.0, 1e-5, None, 2.0, 64, 1000)
+    assert params == PrivacyParams(epsilon_target=1.0, delta=1e-5,
+                                   sigma=gaussian_sigma(1.0, 1e-5), clip_norm=2.0,
+                                   sample_rate=0.064)
+    assert build_privacy(1.0, 1e-5, 1.5, 1.0, 64, 1000).sigma == 1.5
+    assert build_privacy(1.0, 1e-5, 1.5, 1.0, 512, 40).sample_rate == 1.0
+    with pytest.raises(PrivacyError, match="noise multiplier"):
+        build_privacy(1.0, 1e-5, 0, 1.0, 64, 1000)
 
 
 def test_budget_check_is_a_pre_check():
