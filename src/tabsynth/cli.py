@@ -62,6 +62,23 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _number(cfg: dict, key: str, kind: type, default=None):
+    """``cfg[key]`` as ``kind`` (int or float), or ``default`` when absent.
+
+    Flags arrive typed, config-file values as parsed JSON.  Null stands for
+    an absent key only where the default is None; any other value that is
+    not a number of the right kind (null, a string, a list, a bool, a
+    fraction for an int key) is a ConfigError naming the key.
+    """
+    value = cfg.get(key)
+    if value is None and (key not in cfg or default is None):
+        return default
+    if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
+        wanted = "an integer" if kind is int else "a number"
+        raise ConfigError(f"option {key!r} must be {wanted}, got {json.dumps(value)}")
+    return kind(value)
+
+
 _TRAIN_KEYS = ("data", "schema", "model", "epsilon", "delta", "sigma", "clip",
                "batch", "epochs", "steps", "lr", "seed", "out")
 # Model options that only a config file sets: every model kind's options
@@ -75,27 +92,33 @@ def cmd_train(args: argparse.Namespace) -> int:
     kind = _require(cfg, "model")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model {kind!r}; choose one of {', '.join(MODEL_KINDS)}")
-    if cfg.get("epsilon") is not None and float(cfg["epsilon"]) <= 0.0:
-        raise PrivacyError(f"epsilon target must be positive, got {cfg['epsilon']}")
+    epsilon = _number(cfg, "epsilon", float)
+    if epsilon is not None and epsilon <= 0.0:
+        raise PrivacyError(f"epsilon target must be positive, got {epsilon}")
+    delta = _number(cfg, "delta", float, 1e-5)
+    sigma = _number(cfg, "sigma", float)
+    clip = _number(cfg, "clip", float, 1.0)
+    seed = _number(cfg, "seed", int, 0)
+    batch = _number(cfg, "batch", int, 512)
+    epochs = _number(cfg, "epochs", int)
+    lr = _number(cfg, "lr", float)
+    steps = _number(cfg, "steps", int)
     schema = load_schema(cfg["schema"]) if cfg.get("schema") else None
     table = load_table(_require(cfg, "data"), schema)
-    seed = int(cfg.get("seed", 0))
 
-    batch = int(cfg.get("batch", 512))
     if batch not in _GOOD_BATCHES:
         print(f"warning: batch size {batch} is outside the tuned range 2^6..2^11",
               file=sys.stderr)
-    privacy = build_privacy(cfg.get("epsilon"), cfg.get("delta", 1e-5), cfg.get("sigma"),
-                            cfg.get("clip", 1.0), batch, len(table.rows))
+    privacy = build_privacy(epsilon, delta, sigma, clip, batch, len(table.rows))
 
     options: dict = {"batch_target": batch}
-    if cfg.get("epochs") is not None:
-        options["epochs"] = int(cfg["epochs"])
-    if cfg.get("lr") is not None:
+    if epochs is not None:
+        options["epochs"] = epochs
+    if lr is not None:
         lr_keys = ("generator_lr", "critic_lr") if kind == "dpwgan" else ("lr",)
-        options.update(dict.fromkeys(lr_keys, float(cfg["lr"])))
-    if cfg.get("steps") is not None:
-        options["steps"] = int(cfg["steps"])
+        options.update(dict.fromkeys(lr_keys, lr))
+    if steps is not None:
+        options["steps"] = steps
     options.update((key, cfg[key]) for key in _MODEL_KEYS if key in cfg)
 
     model = train_model(encode(table), make_config(kind, privacy=privacy, **options), seed)
@@ -115,11 +138,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, ("model", "rows", "seed"))
-    rows = int(_require(cfg, "rows"))
+    _require(cfg, "rows")
+    rows = _number(cfg, "rows", int)
     if rows < 1:
         raise ConfigError(f"rows must be >= 1, got {rows}")
+    seed = _number(cfg, "seed", int, 0)
     model = load_bundle(_require(cfg, "model"))
-    table = sample_table(model, rows, seed=int(cfg.get("seed", 0)))
+    table = sample_table(model, rows, seed=seed)
     out = args.out or "synthetic.csv"
     write_table(table, out)
     print(f"wrote {rows} synthetic rows to {out}")

@@ -178,6 +178,16 @@ class GroupNorm(Layer):
     Channels are split into 8 groups when divisible by 8, otherwise a
     single group (plain layer norm).  Statistics never cross samples, so
     per-sample gradients stay exact.
+
+    The kernels are one-pass over each group of k channels.  ``forward``
+    centres once with the group ``sum / k``, takes the variance of the
+    centred values with one ``einsum`` and scales them to x̂ in place.
+    ``_input_grad`` forms ĝ = gy·γ and subtracts its group mean and
+    x̂⟨ĝ, x̂⟩/k, both reduced once, before scaling by 1/σ in place.  Only
+    arrays a kernel allocated itself are written in place: the input, the
+    incoming gradient and the cached ``(xhat, inv_std)`` are never written
+    after ``forward`` returns, because ``backward_pairs`` hands ``xhat`` and
+    ``gy`` on to ``privacy.ghost_clip``.
     """
 
     EPS = 1e-5
@@ -198,12 +208,16 @@ class GroupNorm(Layer):
         gamma = p[: self.channels]
         delta = p[self.channels :]
         b = x.shape[0]
-        xg = x.reshape(b, self.groups, -1)
-        mean = xg.mean(axis=2, keepdims=True)
-        var = xg.var(axis=2, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat = ((xg - mean) * inv_std).reshape(b, self.channels)
-        return gamma * xhat + delta, (xhat, inv_std)
+        k = self.channels // self.groups
+        xg = x.reshape(b, self.groups, k)
+        centred = xg - xg.sum(axis=2, keepdims=True) / k
+        var = np.einsum("bgk,bgk->bg", centred, centred) / k
+        inv_std = (1.0 / np.sqrt(var + self.EPS))[:, :, None]
+        centred *= inv_std
+        xhat = centred.reshape(b, self.channels)
+        y = xhat * gamma
+        y += delta
+        return y, (xhat, inv_std)
 
     def backward(self, p, cache, gy, grad_out, per_sample):
         xhat = cache[0]
@@ -211,8 +225,9 @@ class GroupNorm(Layer):
             grad_out[:, : self.channels] = gy * xhat
             grad_out[:, self.channels :] = gy
         else:
-            grad_out[: self.channels] = (gy * xhat).mean(axis=0)
-            grad_out[self.channels :] = gy.mean(axis=0)
+            batch = gy.shape[0]
+            grad_out[: self.channels] = np.einsum("bc,bc->c", gy, xhat) / batch
+            grad_out[self.channels :] = gy.sum(axis=0) / batch
         return self._input_grad(p, cache, gy)
 
     def backward_pairs(self, p, cache, gy, start, pairs):
@@ -223,10 +238,15 @@ class GroupNorm(Layer):
         xhat, inv_std = cache
         gamma = p[: self.channels]
         b = gy.shape[0]
-        ghat = (gy * gamma).reshape(b, self.groups, -1)
-        xh = xhat.reshape(b, self.groups, -1)
-        centered = ghat - ghat.mean(axis=2, keepdims=True) - xh * (ghat * xh).mean(axis=2, keepdims=True)
-        return (inv_std * centered).reshape(b, self.channels)
+        k = self.channels // self.groups
+        ghat = (gy * gamma).reshape(b, self.groups, k)
+        xh = xhat.reshape(b, self.groups, k)
+        mean = ghat.sum(axis=2, keepdims=True) / k
+        proj = np.einsum("bgk,bgk->bg", ghat, xh)[:, :, None] / k
+        ghat -= mean
+        ghat -= xh * proj
+        ghat *= inv_std
+        return ghat.reshape(b, self.channels)
 
     def to_spec(self):
         return {"type": "group_norm", "channels": self.channels, "groups": self.groups}

@@ -141,6 +141,19 @@ def test_a_model_key_the_chosen_model_does_not_read_exits_1(tmp_path, data_csv, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("delta", None), ("epochs", "two"), ("lr", [1])])
+def test_a_wrongly_typed_config_value_exits_1_naming_the_key(tmp_path, data_csv, capsys,
+                                                             key, value):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "m.json"
+    assert main(["train", "--config", str(cfg), "--data", str(data_csv), "--model",
+                 "tablediffusion", "--epsilon", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert not out.exists()
+
+
 def test_batch_size_warning_only_outside_tuned_range(tmp_path, data_csv, capsys):
     assert main(train_args(data_csv, tmp_path / "m.json", extra=["--batch", "100"])) == 0
     assert "outside the tuned range" in capsys.readouterr().err

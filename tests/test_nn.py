@@ -151,6 +151,55 @@ def test_group_norm_standardizes_within_groups():
     np.testing.assert_allclose(grouped.var(axis=2), 1.0, atol=1e-6)
 
 
+def _two_pass_group_norm(x, gamma, delta, gy, groups):
+    """Reference GroupNorm: group statistics from ``mean`` and ``var``.
+
+    Returns the output, the input gradient and the batch-mean (gamma,
+    delta) gradient for output gradients gy.
+    """
+    b, c = x.shape
+    xg = x.reshape(b, groups, -1)
+    inv_std = 1.0 / np.sqrt(xg.var(axis=2, keepdims=True) + GroupNorm.EPS)
+    xhat = ((xg - xg.mean(axis=2, keepdims=True)) * inv_std).reshape(b, c)
+    ghat = (gy * gamma).reshape(b, groups, -1)
+    xh = xhat.reshape(b, groups, -1)
+    centered = (ghat - ghat.mean(axis=2, keepdims=True)
+                - xh * (ghat * xh).mean(axis=2, keepdims=True))
+    gx = (inv_std * centered).reshape(b, c)
+    grad = np.concatenate([(gy * xhat).mean(axis=0), gy.mean(axis=0)])
+    return gamma * xhat + delta, gx, grad
+
+
+@pytest.mark.parametrize("channels, groups", [(128, 8), (6, 1)])
+@pytest.mark.parametrize("batch", [1, 512])
+@pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e3, 1e-3)])
+def test_group_norm_matches_the_two_pass_reference(channels, groups, batch, offset, scale):
+    layer = GroupNorm(channels)
+    assert layer.groups == groups
+    rng = np.random.default_rng(channels + batch)
+    p = np.concatenate([rng.normal(1.0, 0.1, channels), rng.normal(0.0, 0.1, channels)])
+    x = offset + scale * rng.normal(size=(batch, channels))
+    gy = rng.normal(size=(batch, channels))
+    x_bytes, gy_bytes = x.tobytes(), gy.tobytes()
+
+    y, cache = layer.forward(p, x, "train", None)
+    assert x.tobytes() == x_bytes
+    cached = [a.tobytes() for a in cache]
+    grad = np.zeros(2 * channels)
+    gx = layer.backward(p, cache, gy, grad, per_sample=False)
+    assert [a.tobytes() for a in cache] == cached
+    pairs = []
+    gx_pairs = layer.backward_pairs(p, cache, gy, 0, pairs)
+    assert [a.tobytes() for a in cache] == cached
+    assert gy.tobytes() == gy_bytes
+    assert pairs[0].a is cache[0] and pairs[0].g is gy
+    np.testing.assert_array_equal(gx_pairs, gx)
+
+    ref_y, ref_gx, ref_grad = _two_pass_group_norm(x, p[:channels], p[channels:], gy, groups)
+    for got, want in ((y, ref_y), (gx, ref_gx), (grad, ref_grad)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_group_norm_rejects_indivisible_groups():
     with pytest.raises(ValueError):
         GroupNorm(10, groups=4)
