@@ -20,7 +20,7 @@ from .errors import (BundleError, ConfigError, DegenerateDataError, ParseError,
                      PrivacyError, SchemaError, TabsynthError)
 from .encoding import encode
 from .metrics import DEFAULT_BINS, evaluate, pca_projection_histogram
-from .models import (MODEL_KINDS, load_bundle, make_config, option_keys, sample_table,
+from .models import (MODEL_KINDS, load_bundle, make_config, option_fields, sample_table,
                      save_bundle, train_model)
 from .privacy import build_privacy
 from .schema import load_schema, load_table, write_table
@@ -81,14 +81,15 @@ def _number(cfg: dict, key: str, kind: type, default=None):
 
 _TRAIN_KEYS = ("data", "schema", "model", "epsilon", "delta", "sigma", "clip",
                "batch", "epochs", "steps", "lr", "seed", "out")
-# Model options that only a config file sets: every model kind's options
-# except those a flag sets (--batch sets batch_target).
-_MODEL_KEYS = tuple(sorted(frozenset().union(*map(option_keys, MODEL_KINDS))
-                           - set(_TRAIN_KEYS) - {"batch_target"}))
+# Model options that only a config file sets, each as (type, default) from
+# its config class: every model kind's options except those a flag sets
+# (--batch sets batch_target).
+_MODEL_FIELDS = {key: spec for kind in MODEL_KINDS for key, spec in option_fields(kind).items()
+                 if key not in _TRAIN_KEYS and key != "batch_target"}
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _TRAIN_KEYS, _MODEL_KEYS)
+    cfg = _merge_config(args, _TRAIN_KEYS, tuple(_MODEL_FIELDS))
     kind = _require(cfg, "model")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model {kind!r}; choose one of {', '.join(MODEL_KINDS)}")
@@ -119,7 +120,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         options.update(dict.fromkeys(lr_keys, lr))
     if steps is not None:
         options["steps"] = steps
-    options.update((key, cfg[key]) for key in _MODEL_KEYS if key in cfg)
+    options.update((key, _number(cfg, key, key_type, default))
+                   for key, (key_type, default) in _MODEL_FIELDS.items() if key in cfg)
 
     model = train_model(encode(table), make_config(kind, privacy=privacy, **options), seed)
     out = Path(cfg.get("out") or "model.json")

@@ -44,30 +44,98 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(eta, -35.0, 35.0)))
 
 
-def fit_logistic(features: np.ndarray, labels: np.ndarray, ridge: float = DEFAULT_RIDGE):
+def _design_matrix(features) -> np.ndarray:
+    """The intercept column followed by the N x d features, column-major."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("features must be N x d with one label per row")
+    xa = np.empty((x.shape[0], x.shape[1] + 1), order="F")
+    xa[:, 0] = 1.0
+    xa[:, 1:] = x
+    return xa
+
+
+def _one_hot_codes(xa: np.ndarray, one_hot) -> tuple[list[np.ndarray], np.ndarray]:
+    """For each feature range that is exactly one-hot, the design column of
+    each row's 1; and the design columns of those ranges.
+
+    A range qualifies when every entry is 0 or 1 and every row sums to 1.
+    Any other range (a 0.5, two 1s, an all-zero row) gets no codes, so the
+    fit treats its columns as dense.  No range gets codes when the qualifying
+    ranges form more block pairs than they have columns.
+    """
+    d = xa.shape[1] - 1
+    ranges = sorted((int(start), int(stop)) for start, stop in one_hot)
+    for (_, stop), (start, _) in zip(ranges, ranges[1:]):
+        if start < stop:
+            raise ValueError("one_hot ranges must not overlap")
+    codes, columns = [], [np.zeros(0, dtype=np.intp)]
+    for start, stop in ranges:
+        if not 0 <= start < stop <= d:
+            raise ValueError(f"one_hot range ({start}, {stop}) is outside the {d} features")
+        block = xa[:, 1 + start:1 + stop]
+        if np.all((block == 0.0) | (block == 1.0)) and np.all(block.sum(axis=1) == 1.0):
+            # each row's dot with 0..width-1 is the exact position of its 1
+            hot = block @ np.arange(stop - start, dtype=np.float64)
+            codes.append(1 + start + hot.astype(np.intp))
+            columns.append(np.arange(1 + start, 1 + stop))
+    if len(codes) * (len(codes) + 1) // 2 > sum(c.size for c in columns):
+        # The flat cell indices hold N entries per block pair, so with more
+        # pairs than one-hot columns they would outgrow those columns of xa
+        # (many narrow blocks); the dense product is the cheaper Hessian then.
+        return [], columns[0]
+    return codes, np.concatenate(columns)
+
+
+def fit_logistic(features, labels: np.ndarray, ridge: float = DEFAULT_RIDGE, one_hot=()):
     """Ridge logistic regression by IRLS; returns (weights, probabilities).
 
     ``weights[0]`` is the (unpenalized) intercept.  Stops when the penalized
     gradient norm drops below 1e-8 or after 100 iterations.
+
+    ``one_hot`` lists (start, stop) feature ranges that hold one-hot blocks.
+    The Hessian entries between two such blocks are weighted counts of their
+    label pairs, taken with one ``bincount`` per iteration instead of a dense
+    product; only the dense rows (intercept, continuous features and any range
+    that fails the exactness check) go through a matrix product.  Counting
+    needs N indices per block pair, so it is used only while the k verified
+    blocks form no more pairs, k(k+1)/2, than they have columns; past that
+    the whole Hessian is the dense product.  The result is the same fit up to
+    rounding.
     """
-    x = np.asarray(features, dtype=np.float64)
+    xa = _design_matrix(features)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+    if xa.shape[0] != y.shape[0]:
         raise ValueError("features must be N x d with one label per row")
-    if x.shape[0] < 2 or y.min() == y.max():
+    if xa.shape[0] < 2 or y.min() == y.max():
         raise DegenerateDataError("logistic fit needs both labels present")
-    n, d = x.shape
-    xa = np.concatenate([np.ones((n, 1)), x], axis=1)
-    penalty = np.full(d + 1, float(ridge))
+    m = xa.shape[1]
+    penalty = np.full(m, float(ridge))
     penalty[0] = 0.0  # intercept is never shrunk
-    w = np.zeros(d + 1)
+    codes, hot = _one_hot_codes(xa, one_hot)
+    dense = np.setdiff1d(np.arange(m), hot)
+    # Flat Hessian cell of every row in every block pair a <= b; blocks are
+    # sorted and disjoint, so pairs a < b land in the upper triangle.
+    pairs = [(a, b) for a in range(len(codes)) for b in range(a, len(codes))]
+    cells = np.concatenate([codes[a] * m + codes[b] for a, b in pairs]) if pairs else None
+    w = np.zeros(m)
     for _ in range(_IRLS_MAX_ITER):
         s = _sigmoid(xa @ w)
         grad = xa.T @ (y - s) - penalty * w
         if np.linalg.norm(grad) <= _IRLS_GRAD_TOL:
             break
         wt = s * (1.0 - s)
-        hess = (xa * wt[:, None]).T @ xa
+        if cells is None:
+            hess = np.empty((m, m))  # the dense product below writes every entry
+        else:
+            hess = np.bincount(cells, weights=np.tile(wt, len(pairs)),
+                               minlength=m * m).reshape(m, m)
+            hess += np.triu(hess, 1).T
+        weighted = xa[:, dense]
+        weighted *= wt[:, None]
+        gram = weighted.T @ xa
+        hess[dense] = gram
+        hess[np.ix_(hot, dense)] = gram[:, hot].T
         hess[np.diag_indices_from(hess)] += penalty
         try:
             step = np.linalg.solve(hess, grad)
@@ -88,18 +156,21 @@ def pmse_ratio(real, synth, ridge: float = DEFAULT_RIDGE) -> float:
     """Observed/expected propensity MSE; ~1 when the discriminator is at chance.
 
     Label 1 marks synthetic rows.  The parameter count d includes the
-    intercept, so d = encoded width + 1.
+    intercept, so d = encoded width + 1.  The categorical spans of an
+    ``EncodedMatrix`` input are passed to the fit as its one-hot ranges.
     """
     xr, xs = _as_values(real), _as_values(synth)
     if xr.shape[1] != xs.shape[1]:
         raise SchemaError("pmse_ratio: width mismatch")
+    encoded = next((x for x in (real, synth) if isinstance(x, EncodedMatrix)), None)
+    one_hot = () if encoded is None else tuple(
+        (s.start, s.stop) for s in encoded.spans if s.kind is ColumnKind.CATEGORICAL)
     n1, n2 = xr.shape[0], xs.shape[0]
-    features = np.concatenate([xr, xs], axis=0)
     labels = np.concatenate([np.zeros(n1), np.ones(n2)])
-    _, s = fit_logistic(features, labels, ridge)
+    _, s = fit_logistic(np.concatenate([xr, xs]), labels, ridge, one_hot)
     total = n1 + n2
     observed = float(np.mean((s - n2 / total) ** 2))
-    expected = pmse_expected(n1, n2, features.shape[1] + 1)
+    expected = pmse_expected(n1, n2, xr.shape[1] + 1)
     if expected == 0.0:
         raise DegenerateDataError("pmse_ratio: zero expected utility")
     return observed / expected
@@ -206,6 +277,12 @@ def chi2_distance(real_counts, synth_counts) -> float:
     return _chi2_distance_dropped(real_counts, synth_counts)[0]
 
 
+def _label_counts(cells, index: dict) -> np.ndarray:
+    """How often each label of ``index`` (label -> position) occurs in ``cells``."""
+    positions = np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
+    return np.bincount(positions, minlength=len(index))
+
+
 def marginal_distance(real: RawTable, synth: RawTable):
     """Mean per-feature distance (chi2 for categorical, KS for continuous).
 
@@ -213,20 +290,16 @@ def marginal_distance(real: RawTable, synth: RawTable):
     """
     if not real.schema.compatible_with(synth.schema):
         raise SchemaError("marginal_distance: schema mismatch")
+    width = len(real.schema.columns)
+    real_cols = list(zip(*real.rows)) or [()] * width
+    synth_cols = list(zip(*synth.rows)) or [()] * width
     per_feature = []
     dropped_total = 0
-    for j, col in enumerate(real.schema.columns):
-        rv = [row[j] for row in real.rows]
-        sv = [row[j] for row in synth.rows]
+    for col, rv, sv in zip(real.schema.columns, real_cols, synth_cols):
         if col.kind is ColumnKind.CATEGORICAL:
             index = {tok: i for i, tok in enumerate(col.vocabulary)}
-            cr = np.zeros(len(col.vocabulary))
-            cs = np.zeros(len(col.vocabulary))
-            for tok in rv:
-                cr[index[tok]] += 1
-            for tok in sv:
-                cs[index[tok]] += 1
-            dist, dropped = _chi2_distance_dropped(cr, cs)
+            dist, dropped = _chi2_distance_dropped(_label_counts(rv, index),
+                                                   _label_counts(sv, index))
             dropped_total += dropped
         else:
             dist = ks_distance(rv, sv)

@@ -14,6 +14,7 @@ import base64
 import json
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -41,13 +42,21 @@ def train_model(matrix: EncodedMatrix, config: DiffusionConfig | GanConfig,
     raise ConfigError(f"unknown config type {type(config).__name__}")
 
 
-def option_keys(kind: str) -> frozenset[str]:
-    """The options ``make_config`` reads for a model kind: the fields of its
-    config class other than ``variant`` and ``privacy``."""
+def option_fields(kind: str) -> dict[str, tuple[type, object]]:
+    """The options ``make_config`` reads for a model kind, each as (annotated
+    type, default): the fields of its config class other than ``variant`` and
+    ``privacy``."""
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}; choose one of {', '.join(MODEL_KINDS)}")
     config = GanConfig if kind == DPWGAN else DiffusionConfig
-    return frozenset(f.name for f in fields(config)) - {"variant", "privacy"}
+    types = get_type_hints(config)
+    return {f.name: (types[f.name], f.default) for f in fields(config)
+            if f.name not in ("variant", "privacy")}
+
+
+def option_keys(kind: str) -> frozenset[str]:
+    """The options ``make_config`` reads for a model kind."""
+    return frozenset(option_fields(kind))
 
 
 def make_config(kind: str, privacy: PrivacyParams | None = None, **options):

@@ -154,6 +154,40 @@ def test_a_wrongly_typed_config_value_exits_1_naming_the_key(tmp_path, data_csv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, key, value", [
+    ("tablediffusion", "width", "8"),
+    ("tablediffusion", "width", None),
+    ("tablediffusion", "blocks", 1.5),
+    ("dpwgan", "latent_dim", "8"),
+    ("dpwgan", "critic_steps", "2"),
+    ("dpwgan", "weight_clamp", [0.01]),
+    ("dpwgan", "generator_lr", "0.1"),
+    ("dpwgan", "critic_lr", None),
+])
+def test_a_wrongly_typed_model_key_exits_1_naming_the_key(tmp_path, data_csv, capsys,
+                                                          model, key, value):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "m.json"
+    assert main(["train", "--config", str(cfg), "--data", str(data_csv), "--model", model,
+                 "--epochs", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert not out.exists()
+
+
+def test_model_keys_take_the_type_of_their_config_field(tmp_path, data_csv):
+    # an integer is a valid float option; both land in the bundle's config
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"width": 8, "blocks": 1, "generator_lr": 1, "critic_steps": 2}))
+    out = tmp_path / "m.json"
+    assert main(["train", "--config", str(cfg), "--data", str(data_csv), "--model", "dpwgan",
+                 "--epochs", "1", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["width"], config["blocks"], config["critic_steps"]) == (8, 1, 2)
+    assert config["generator_lr"] == 1.0 and isinstance(config["generator_lr"], float)
+
+
 def test_batch_size_warning_only_outside_tuned_range(tmp_path, data_csv, capsys):
     assert main(train_args(data_csv, tmp_path / "m.json", extra=["--batch", "100"])) == 0
     assert "outside the tuned range" in capsys.readouterr().err

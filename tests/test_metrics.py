@@ -7,10 +7,13 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from tabsynth.encoding import encode
 from tabsynth.errors import DegenerateDataError, SchemaError
 from tabsynth.metrics import (
     FidelityReport,
     _chi2_stat,
+    _design_matrix,
+    _one_hot_codes,
     _quantile_radii,
     auprc,
     chi2_distance,
@@ -80,6 +83,112 @@ def test_pmse_ratio_blows_up_when_separable():
 def test_pmse_ratio_rejects_width_mismatch():
     with pytest.raises(SchemaError):
         pmse_ratio(np.zeros((10, 3)), np.zeros((10, 4)))
+
+
+# Several categoricals (one binary, one with a label neither side uses) and
+# continuous columns between them, so one-hot and dense columns interleave.
+ONE_HOT_SCHEMA = TableSchema((
+    ColumnSchema("city", ColumnKind.CATEGORICAL, vocabulary=("a", "b", "c", "d", "ghost")),
+    ColumnSchema("x", ColumnKind.CONTINUOUS, minimum=-4.0, maximum=4.0),
+    ColumnSchema("flag", ColumnKind.CATEGORICAL, vocabulary=("y", "n")),
+    ColumnSchema("tier", ColumnKind.CATEGORICAL, vocabulary=tuple("pqrstu")),
+    ColumnSchema("z", ColumnKind.CONTINUOUS, minimum=0.0, maximum=1.0),
+))
+
+
+def _one_hot_pair():
+    """Encoded real (400 rows) and synthetic (300 rows, shifted) matrices."""
+    def rows(seed, n, shift):
+        rng = np.random.default_rng(seed)
+        return [(str(rng.choice(list("abcd"), p=[0.4 - shift, 0.3, 0.2, 0.1 + shift])),
+                 float(np.clip(rng.normal(shift * 4.0, 1.0), -4.0, 4.0)),
+                 "y" if rng.random() < 0.5 + shift else "n",
+                 str(rng.choice(list("pqrstu"))),
+                 float(rng.random()))
+                for _ in range(n)]
+
+    real = encode(RawTable(ONE_HOT_SCHEMA, rows(21, 400, 0.0)))
+    synth = encode(RawTable(ONE_HOT_SCHEMA, rows(22, 300, 0.15)))
+    return real, synth
+
+
+def _one_hot_ranges(matrix):
+    return [(s.start, s.stop) for s in matrix.spans if s.kind is ColumnKind.CATEGORICAL]
+
+
+def _assert_same_fit(features, labels, one_hot):
+    # At the default ridge each one-hot block and the intercept span a
+    # direction that only the 1e-6 penalty pins, so two roundings of the same
+    # Hessian move the weights there by ~1e-7 relative while every
+    # probability agrees; the weights are compared where the ridge is 1.
+    for ridge in (1e-6, 1.0):
+        w_dense, s_dense = fit_logistic(features, labels, ridge)
+        w_blocks, s_blocks = fit_logistic(features, labels, ridge, one_hot)
+        np.testing.assert_allclose(s_blocks, s_dense, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(w_blocks, w_dense, rtol=1e-9, atol=0.0)
+
+
+def test_one_hot_hessian_gives_the_dense_fit():
+    real, synth = _one_hot_pair()
+    assert _one_hot_ranges(real) == [(0, 5), (6, 8), (8, 14)]
+    features = np.concatenate([real.values, synth.values])
+    labels = np.concatenate([np.zeros(real.n_rows), np.ones(synth.n_rows)])
+    _assert_same_fit(features, labels, _one_hot_ranges(real))
+
+
+@pytest.mark.parametrize("broken", ["half", "two_ones", "all_zero"])
+def test_a_block_that_is_not_one_hot_falls_back_to_dense(broken):
+    real, synth = _one_hot_pair()
+    features = np.concatenate([real.values, synth.values])
+    labels = np.concatenate([np.zeros(real.n_rows), np.ones(synth.n_rows)])
+    tier = features[:, 8:14]  # a view into the "tier" block
+    if broken == "half":  # the row still sums to 1
+        tier[7] = 0.0
+        tier[7, [2, 4]] = 0.5
+    elif broken == "two_ones":
+        tier[7] = 0.0
+        tier[7, [3, 5]] = 1.0
+    else:
+        tier[7] = 0.0
+    _assert_same_fit(features, labels, _one_hot_ranges(real))
+
+
+def test_many_narrow_blocks_use_the_dense_hessian():
+    # k binary blocks form k(k+1)/2 block pairs against 2k one-hot columns:
+    # three still count (6 <= 6), four or more take the dense product.
+    rng = np.random.default_rng(5)
+    n, k = 600, 12
+    features = np.empty((n, 2 * k + 1))
+    features[:, :2 * k:2] = rng.random((n, k)) < 0.5
+    features[:, 1:2 * k:2] = 1.0 - features[:, :2 * k:2]
+    features[:, -1] = rng.normal(size=n)
+    labels = (rng.random(n) < 0.3 + 0.4 * features[:, 0]).astype(np.float64)
+    ranges = [(2 * j, 2 * j + 2) for j in range(k)]
+    xa = _design_matrix(features)
+    assert len(_one_hot_codes(xa, ranges[:3])[0]) == 3
+    for blocks in (4, k):
+        codes, hot = _one_hot_codes(xa, ranges[:blocks])
+        assert codes == [] and hot.size == 0
+    w_dense, s_dense = fit_logistic(features, labels)
+    w_blocks, s_blocks = fit_logistic(features, labels, one_hot=ranges)
+    np.testing.assert_array_equal(w_blocks, w_dense)
+    np.testing.assert_array_equal(s_blocks, s_dense)
+
+
+def test_pmse_ratio_of_an_encoded_matrix_matches_its_values():
+    real, synth = _one_hot_pair()
+    ratio = pmse_ratio(real, synth)
+    assert ratio == pytest.approx(pmse_ratio(real.values, synth.values), rel=1e-12, abs=0.0)
+    assert ratio > 1.0  # the shifted table is told apart
+
+
+def test_one_hot_ranges_are_validated():
+    x = np.eye(3)[[0, 1, 2, 0, 1, 2]]
+    labels = np.array([0.0, 1.0] * 3)
+    with pytest.raises(ValueError, match="overlap"):
+        fit_logistic(x, labels, one_hot=[(0, 2), (1, 3)])
+    with pytest.raises(ValueError, match="outside"):
+        fit_logistic(x, labels, one_hot=[(1, 4)])
 
 
 # ---------------------------------------------------------------------------
