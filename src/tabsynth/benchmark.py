@@ -14,16 +14,16 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .encoding import encode
-from .errors import ConfigError
+from .errors import ConfigError, check_number_fields, typed_number
 from .metrics import FidelityReport, evaluate
 from .models import MODEL_KINDS, make_config, option_keys, sample_table, train_model
-from .privacy import build_privacy
+from .privacy import DEFAULT_CLIP_NORM, DEFAULT_DELTA, build_privacy
 from .schema import RawTable, load_schema, load_table
 
 REPORT_FIELDS = ("pmse_ratio", "marginal_distance", "alpha_precision_integral",
@@ -38,6 +38,10 @@ class DatasetSpec:
     schema_path: str | None = None
     subsample: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.subsample is not None:
+            object.__setattr__(self, "subsample", typed_number("subsample", self.subsample, int))
+
 
 @dataclass(frozen=True)
 class BenchmarkPlan:
@@ -46,10 +50,12 @@ class BenchmarkPlan:
     epsilons: tuple  # floats, or None for an unprivatized run
     repeats: int
     seeds: tuple[int, ...]
-    delta: float = 1e-5
+    delta: float = DEFAULT_DELTA
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
+        object.__setattr__(self, "seeds", tuple(typed_number("seeds", s, int) for s in self.seeds))
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if len(self.seeds) != self.repeats:
@@ -61,27 +67,28 @@ class BenchmarkPlan:
             if kind not in MODEL_KINDS:
                 raise ConfigError(f"unknown model kind {kind!r} in plan")
         for eps in self.epsilons:
-            if eps is not None and eps <= 0:
+            if eps is not None and typed_number("epsilons", eps, float) <= 0:
                 raise ConfigError(f"epsilon budgets must be positive, got {eps}")
 
 
 def load_plan(path: str | Path) -> BenchmarkPlan:
+    """The plan in a JSON file; its numbers are typed like CLI config values."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        datasets = tuple(
-            DatasetSpec(d["name"], d["path"], d.get("schema"), d.get("subsample"))
-            for d in payload["datasets"])
         return BenchmarkPlan(
-            datasets=datasets,
+            datasets=tuple(DatasetSpec(d["name"], d["path"], d.get("schema"), d.get("subsample"))
+                           for d in payload["datasets"]),
             models=tuple(payload["models"]),
             epsilons=tuple(payload["epsilons"]),
-            repeats=int(payload["repeats"]),
-            seeds=tuple(int(s) for s in payload["seeds"]),
-            delta=float(payload.get("delta", 1e-5)),
+            repeats=payload["repeats"],
+            seeds=tuple(payload["seeds"]),
+            delta=payload.get("delta", BenchmarkPlan.delta),
             options=dict(payload.get("options", {})),
         )
     except KeyError as exc:
         raise ConfigError(f"benchmark plan is missing key {exc}") from exc
+    except TypeError as exc:  # the plan, or one of its datasets, is not an object
+        raise ConfigError(f"malformed benchmark plan: {exc}") from exc
 
 
 def load_plan_dataset(spec: DatasetSpec) -> RawTable:
@@ -101,18 +108,18 @@ _OPTION_KEYS = frozenset().union(*map(option_keys, MODEL_KINDS)) | _PRIVACY_OPTI
 
 
 def run_cell(table: RawTable, model_kind: str, epsilon, seed: int,
-             delta: float = 1e-5, options: dict | None = None) -> FidelityReport:
+             delta: float = DEFAULT_DELTA, options: dict | None = None) -> FidelityReport:
     """Train, sample |table| rows, evaluate: one benchmark grid cell."""
     options = dict(options or {})
     unknown = set(options) - _OPTION_KEYS
     if unknown:
         raise ConfigError(f"unknown benchmark options: {', '.join(sorted(unknown))}")
-    privacy = build_privacy(epsilon, delta, options.get("sigma"), options.get("clip_norm", 1.0),
-                            int(options.get("batch_target", 512)), len(table.rows))
     allowed = option_keys(model_kind)
-    config = make_config(model_kind, privacy=privacy,
-                         **{k: v for k, v in options.items() if k in allowed})
-    model = train_model(encode(table), config, seed)
+    config = make_config(model_kind, **{k: v for k, v in options.items() if k in allowed})
+    privacy = build_privacy(epsilon, delta, options.get("sigma"),
+                            options.get("clip_norm", DEFAULT_CLIP_NORM), config.batch_target,
+                            len(table.rows))
+    model = train_model(encode(table), replace(config, privacy=privacy), seed)
     synth = sample_table(model, len(table.rows), seed=seed + 1)
     meta = {"model": model_kind, "epsilon_target": epsilon, "seed": seed,
             "epsilon_spent": model.epsilon_spent, "steps": model.ledger.steps_taken}
@@ -121,6 +128,8 @@ def run_cell(table: RawTable, model_kind: str, epsilon, seed: int,
 
 def worker_count(n_cells: int) -> int:
     limit = os.environ.get("TABSYNTH_THREADS")
+    if limit and not (limit.isdecimal() and int(limit) >= 1):
+        raise ConfigError(f"TABSYNTH_THREADS must be an integer >= 1, got {limit!r}")
     cap = int(limit) if limit else (os.cpu_count() or 1)
     return max(1, min(n_cells, cap))
 
@@ -192,10 +201,8 @@ def _guarded(fn, job):
 
 def _write_results_csv(rows: list[dict], path: Path) -> None:
     header = ["dataset", "model", "epsilon", "n_seeds"]
-    for name in REPORT_FIELDS:
-        header += [f"{name}_mean", f"{name}_std"]
+    header += [f"{name}_{stat}" for name in REPORT_FIELDS for stat in ("mean", "std")]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

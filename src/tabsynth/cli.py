@@ -16,16 +16,16 @@ import sys
 from pathlib import Path
 
 from . import benchmark as bench
+from .diffusion import DiffusionConfig
 from .errors import (BundleError, ConfigError, DegenerateDataError, ParseError,
-                     PrivacyError, SchemaError, TabsynthError)
+                     PrivacyError, TabsynthError, typed_number)
 from .encoding import encode
 from .metrics import DEFAULT_BINS, evaluate, pca_projection_histogram
-from .models import (MODEL_KINDS, load_bundle, make_config, option_fields, sample_table,
+from .models import (MODEL_KINDS, load_bundle, make_config, option_keys, sample_table,
                      save_bundle, train_model)
-from .privacy import build_privacy
+from .privacy import DEFAULT_BATCH_TARGET, DEFAULT_CLIP_NORM, DEFAULT_DELTA, build_privacy
 from .schema import load_schema, load_table, write_table
 
-_DOMAIN_ERRORS = (ConfigError, SchemaError, PrivacyError)
 _INPUT_ERRORS = (ParseError, BundleError, DegenerateDataError, OSError,
                  json.JSONDecodeError)
 _GOOD_BATCHES = {2 ** k for k in range(6, 12)}  # the tuned search space
@@ -66,44 +66,35 @@ def _number(cfg: dict, key: str, kind: type, default=None):
     """``cfg[key]`` as ``kind`` (int or float), or ``default`` when absent.
 
     Flags arrive typed, config-file values as parsed JSON.  Null stands for
-    an absent key only where the default is None; any other value that is
-    not a number of the right kind (null, a string, a list, a bool, a
-    fraction for an int key) is a ConfigError naming the key.
+    an absent key only where the default is None.
     """
     value = cfg.get(key)
     if value is None and (key not in cfg or default is None):
         return default
-    if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
-        wanted = "an integer" if kind is int else "a number"
-        raise ConfigError(f"option {key!r} must be {wanted}, got {json.dumps(value)}")
-    return kind(value)
+    return typed_number(key, value, kind)
 
 
 _TRAIN_KEYS = ("data", "schema", "model", "epsilon", "delta", "sigma", "clip",
                "batch", "epochs", "steps", "lr", "seed", "out")
-# Model options that only a config file sets, each as (type, default) from
-# its config class: every model kind's options except those a flag sets
-# (--batch sets batch_target).
-_MODEL_FIELDS = {key: spec for kind in MODEL_KINDS for key, spec in option_fields(kind).items()
-                 if key not in _TRAIN_KEYS and key != "batch_target"}
+# Model options that only a config file sets: every model kind's options but
+# those a flag sets (--batch sets batch_target); their config class types them.
+_MODEL_KEYS = tuple(frozenset().union(*map(option_keys, MODEL_KINDS))
+                    - set(_TRAIN_KEYS) - {"batch_target"})
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _TRAIN_KEYS, tuple(_MODEL_FIELDS))
+    cfg = _merge_config(args, _TRAIN_KEYS, _MODEL_KEYS)
     kind = _require(cfg, "model")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model {kind!r}; choose one of {', '.join(MODEL_KINDS)}")
     epsilon = _number(cfg, "epsilon", float)
     if epsilon is not None and epsilon <= 0.0:
         raise PrivacyError(f"epsilon target must be positive, got {epsilon}")
-    delta = _number(cfg, "delta", float, 1e-5)
+    delta = _number(cfg, "delta", float, DEFAULT_DELTA)
     sigma = _number(cfg, "sigma", float)
-    clip = _number(cfg, "clip", float, 1.0)
+    clip = _number(cfg, "clip", float, DEFAULT_CLIP_NORM)
     seed = _number(cfg, "seed", int, 0)
-    batch = _number(cfg, "batch", int, 512)
-    epochs = _number(cfg, "epochs", int)
-    lr = _number(cfg, "lr", float)
-    steps = _number(cfg, "steps", int)
+    batch = _number(cfg, "batch", int, DEFAULT_BATCH_TARGET)
     schema = load_schema(cfg["schema"]) if cfg.get("schema") else None
     table = load_table(_require(cfg, "data"), schema)
 
@@ -112,16 +103,14 @@ def cmd_train(args: argparse.Namespace) -> int:
               file=sys.stderr)
     privacy = build_privacy(epsilon, delta, sigma, clip, batch, len(table.rows))
 
-    options: dict = {"batch_target": batch}
-    if epochs is not None:
-        options["epochs"] = epochs
-    if lr is not None:
+    # Null leaves epochs, steps and lr unset; --lr sets both GAN rates, so
+    # its value is typed here, under the key the user wrote.
+    options = {key: cfg[key] for key in _MODEL_KEYS if key in cfg}
+    options.update((key, cfg[key]) for key in ("epochs", "steps") if cfg.get(key) is not None)
+    options["batch_target"] = batch
+    if cfg.get("lr") is not None:
         lr_keys = ("generator_lr", "critic_lr") if kind == "dpwgan" else ("lr",)
-        options.update(dict.fromkeys(lr_keys, lr))
-    if steps is not None:
-        options["steps"] = steps
-    options.update((key, _number(cfg, key, key_type, default))
-                   for key, (key_type, default) in _MODEL_FIELDS.items() if key in cfg)
+        options.update(dict.fromkeys(lr_keys, typed_number("lr", cfg["lr"], float)))
 
     model = train_model(encode(table), make_config(kind, privacy=privacy, **options), seed)
     out = Path(cfg.get("out") or "model.json")
@@ -130,8 +119,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     with open(log_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=LOG_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for entry in model.log:
-            writer.writerow({k: entry.get(k, "") for k in LOG_COLUMNS})
+        writer.writerows(model.log)
     eps = "-" if model.epsilon_spent is None else f"{model.epsilon_spent:.4f}"
     print(f"trained {kind}: {model.ledger.steps_taken} steps, epsilon spent {eps}; "
           f"bundle {out}, log {log_path}")
@@ -140,8 +128,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, ("model", "rows", "seed"))
-    _require(cfg, "rows")
-    rows = _number(cfg, "rows", int)
+    rows = typed_number("rows", _require(cfg, "rows"), int)
     if rows < 1:
         raise ConfigError(f"rows must be >= 1, got {rows}")
     seed = _number(cfg, "seed", int, 0)
@@ -197,14 +184,10 @@ def cmd_project(args: argparse.Namespace) -> int:
                 writer.writerow([i, j, int(result.real_grid[i, j]),
                                  int(result.other_grid[i, j])])
     sidecar = Path(str(out) + ".basis.json")
-    sidecar.write_text(json.dumps({
-        "eigenvalues": [float(v) for v in result.eigenvalues],
-        "components": [[float(v) for v in row] for row in result.components],
-        "center": [float(v) for v in result.center],
-        "box_min": [float(v) for v in result.box_min],
-        "box_max": [float(v) for v in result.box_max],
-        "bins": result.bins,
-    }, indent=2) + "\n", encoding="utf-8")
+    basis = {name: getattr(result, name).tolist()
+             for name in ("eigenvalues", "components", "center", "box_min", "box_max")}
+    sidecar.write_text(json.dumps({**basis, "bins": result.bins}, indent=2) + "\n",
+                       encoding="utf-8")
     print(f"wrote projection grid {out} and basis {sidecar}")
     return 0
 
@@ -226,13 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--schema", help="optional schema JSON (else inferred)")
     train.add_argument("--model", choices=MODEL_KINDS, help="model kind")
     train.add_argument("--epsilon", type=float, help="privacy budget (omit for unprivatized)")
-    train.add_argument("--delta", type=float, default=None, help="privacy delta (default 1e-5)")
+    train.add_argument("--delta", type=float, help=f"privacy delta (default {DEFAULT_DELTA:g})")
     train.add_argument("--sigma", type=float, help="noise multiplier (default: calibrated)")
-    train.add_argument("--clip", type=float, default=None, help="gradient clip norm (default 1.0)")
-    train.add_argument("--batch", type=int, default=None, help="Poisson batch target (default 512)")
+    train.add_argument("--clip", type=float, help=f"gradient clip norm (default {DEFAULT_CLIP_NORM})")
+    train.add_argument("--batch", type=int, help=f"Poisson batch target (default {DEFAULT_BATCH_TARGET})")
     train.add_argument("--epochs", type=int, default=None, help="epoch cap (default 300)")
     train.add_argument("--steps-T", dest="steps", type=int, default=None,
-                       help="diffusion steps T (default 5)")
+                       help=f"diffusion steps T (default {DiffusionConfig.steps})")
     train.add_argument("--lr", type=float, default=None, help="learning rate")
     train.set_defaults(fn=cmd_train)
 
@@ -267,15 +250,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _DOMAIN_ERRORS as exc:
+    except (TabsynthError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TabsynthError as exc:  # anything else from the package is a domain error
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # every other package error (config, schema, privacy) is a domain error
+        return 2 if isinstance(exc, _INPUT_ERRORS) else 1
 
 
 if __name__ == "__main__":

@@ -24,9 +24,9 @@ import numpy as np
 
 from .accountant import RdpLedger
 from .encoding import ColumnSpan, EncodedMatrix
-from .errors import ConfigError
+from .errors import ConfigError, check_number_fields
 from .nn import AdamState, Network, build_generator
-from .privacy import PrivacyParams, TrainingDriver
+from .privacy import DEFAULT_BATCH_TARGET, PrivacyParams, TrainingDriver
 from .schema import ColumnKind, TableSchema
 
 NOISE_PREDICTOR = "tablediffusion"
@@ -37,7 +37,7 @@ DENOISER = "tablediffusion-denoiser"
 class DiffusionConfig:
     variant: str = NOISE_PREDICTOR
     steps: int = 5
-    batch_target: int = 512
+    batch_target: int = DEFAULT_BATCH_TARGET
     epochs: int = 300
     lr: float = 1e-3
     width: int = 128
@@ -45,6 +45,7 @@ class DiffusionConfig:
     privacy: PrivacyParams | None = None
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         if self.variant not in (NOISE_PREDICTOR, DENOISER):
             raise ConfigError(f"unknown diffusion variant {self.variant!r}")
         if self.steps < 1:

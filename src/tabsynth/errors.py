@@ -1,9 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the type rule for
+numeric options.
 
 The CLI maps these onto exit codes: configuration and domain errors exit
 with 1, anything that points at a broken input file (parse failures,
 corrupt bundles, degenerate data) exits with 2.
 """
+
+import json
+from dataclasses import fields
+from numbers import Integral, Real
 
 
 class TabsynthError(Exception):
@@ -32,3 +37,21 @@ class DegenerateDataError(TabsynthError):
 
 class PrivacyError(TabsynthError):
     """Invalid privacy parameters or accounting state."""
+
+
+def typed_number(name: str, value, kind: type):
+    """``value`` as ``kind`` (int or float), taking numpy scalars too; a bool,
+    a string, null, a list, or a fraction for an int is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, Integral if kind is int else Real):
+        wanted = "an integer" if kind is int else "a number"
+        raise ConfigError(f"option {name!r} must be {wanted}, got {json.dumps(value, default=repr)}")
+    return kind(value)
+
+
+def check_number_fields(instance) -> None:
+    """``typed_number`` on each int and float field of a frozen dataclass, in place."""
+    for f in fields(instance):
+        kind = {"int": int, "float": float}.get(getattr(f.type, "__name__", f.type))
+        if kind is not None:
+            value = typed_number(f.name, getattr(instance, f.name), kind)
+            object.__setattr__(instance, f.name, value)

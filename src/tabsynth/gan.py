@@ -17,9 +17,9 @@ import numpy as np
 
 from .accountant import RdpLedger
 from .encoding import ColumnSpan, EncodedMatrix
-from .errors import ConfigError
+from .errors import ConfigError, check_number_fields
 from .nn import AdamState, Network, adam_step, build_critic, build_generator
-from .privacy import PrivacyParams, TrainingDriver
+from .privacy import DEFAULT_BATCH_TARGET, PrivacyParams, TrainingDriver
 from .schema import TableSchema
 
 DPWGAN = "dpwgan"
@@ -27,7 +27,7 @@ DPWGAN = "dpwgan"
 
 @dataclass(frozen=True)
 class GanConfig:
-    batch_target: int = 512
+    batch_target: int = DEFAULT_BATCH_TARGET
     epochs: int = 300
     generator_lr: float = 1e-4
     critic_lr: float = 1e-4
@@ -39,6 +39,7 @@ class GanConfig:
     privacy: PrivacyParams | None = None
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         if self.batch_target < 1 or self.epochs < 1:
             raise ConfigError("batch size and epochs must be positive")
         if self.generator_lr <= 0.0 or self.critic_lr <= 0.0:
@@ -108,7 +109,7 @@ def train_dpwgan(matrix: EncodedMatrix, config: GanConfig, seed: int) -> Trained
             fake, caches_gen = generator.forward(z, mode="train", rng=rng)
             score, caches_critic = critic.forward(fake, mode="train", rng=rng)
             ones = np.ones((config.batch_target, 1))
-            _, input_grads = critic.backward(caches_critic, -ones, per_sample=False)
+            input_grads = critic.backward_pairs(caches_critic, -ones)[1]  # no critic gradient
             gen_grads, _ = generator.backward(caches_gen, input_grads, per_sample=False)
             generator.params, adam_g = adam_step(generator.params, gen_grads, adam_g,
                                                  config.generator_lr)

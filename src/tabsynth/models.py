@@ -14,7 +14,6 @@ import base64
 import json
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -42,26 +41,19 @@ def train_model(matrix: EncodedMatrix, config: DiffusionConfig | GanConfig,
     raise ConfigError(f"unknown config type {type(config).__name__}")
 
 
-def option_fields(kind: str) -> dict[str, tuple[type, object]]:
-    """The options ``make_config`` reads for a model kind, each as (annotated
-    type, default): the fields of its config class other than ``variant`` and
-    ``privacy``."""
+def option_keys(kind: str) -> frozenset[str]:
+    """The options ``make_config`` reads for a model kind: the fields of its
+    config class other than ``variant`` and ``privacy``."""
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}; choose one of {', '.join(MODEL_KINDS)}")
     config = GanConfig if kind == DPWGAN else DiffusionConfig
-    types = get_type_hints(config)
-    return {f.name: (types[f.name], f.default) for f in fields(config)
-            if f.name not in ("variant", "privacy")}
-
-
-def option_keys(kind: str) -> frozenset[str]:
-    """The options ``make_config`` reads for a model kind."""
-    return frozenset(option_fields(kind))
+    return frozenset(f.name for f in fields(config) if f.name not in ("variant", "privacy"))
 
 
 def make_config(kind: str, privacy: PrivacyParams | None = None, **options):
     """Build the right config dataclass for a model kind from flat options;
-    an option the kind does not read is a ConfigError that names it."""
+    an option the kind does not read, or a value of the wrong type, is a
+    ConfigError that names it."""
     unknown = sorted(set(options) - option_keys(kind))
     if unknown:
         raise ConfigError(f"{kind} does not read option(s): {', '.join(unknown)}")
@@ -141,20 +133,12 @@ def _adam_from_json(payload, version: int, n_params: int, where: str) -> AdamSta
     return AdamState(*moments, t)
 
 
-def _config_to_json(config) -> dict:
-    payload = asdict(config)
-    if config.privacy is not None:
-        payload["privacy"] = asdict(config.privacy)
-    return payload
-
-
 def _config_from_json(kind: str, payload: dict):
     payload = dict(payload)
     privacy = payload.pop("privacy", None)
-    if privacy is not None:
-        privacy = PrivacyParams(**privacy)
     payload.pop("variant", None)
-    return make_config(kind, privacy=privacy, **payload)
+    return make_config(kind, privacy=None if privacy is None else PrivacyParams(**privacy),
+                       **payload)
 
 
 def bundle_dict(model: TrainedDiffusion | TrainedGan) -> dict:
@@ -163,7 +147,7 @@ def bundle_dict(model: TrainedDiffusion | TrainedGan) -> dict:
         "kind": model.kind,
         "schema": model.schema.to_json_dict(),
         "spans": _spans_to_json(model.spans),
-        "config": _config_to_json(model.config),
+        "config": asdict(model.config),  # privacy too: asdict recurses
         "ledger": model.ledger.to_state(),
         "epsilon_spent": model.epsilon_spent,
         "delta": model.delta,

@@ -27,8 +27,13 @@ import numpy as np
 
 from .accountant import (RdpLedger, accumulate_step, count_step, fresh_ledger,
                          to_epsilon_delta)
-from .errors import PrivacyError
+from .errors import PrivacyError, check_number_fields
 from .nn import AdamState, Dense, Network, adam_step
+
+# Defaults of the CLI, the benchmark sweep and both model configs.
+DEFAULT_DELTA = 1e-5
+DEFAULT_CLIP_NORM = 1.0
+DEFAULT_BATCH_TARGET = 512
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,7 @@ class PrivacyParams:
     sample_rate: float
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         if self.epsilon_target <= 0.0:
             raise PrivacyError(f"epsilon target must be positive, got {self.epsilon_target}")
         if not 0.0 < self.delta < 1.0:
@@ -164,9 +170,8 @@ def build_privacy(epsilon, delta: float, sigma, clip_norm: float, batch_target: 
     budget; a sigma of None means ``gaussian_sigma(epsilon, delta)``."""
     if epsilon is None:
         return None
-    epsilon, delta = float(epsilon), float(delta)
-    sigma = gaussian_sigma(epsilon, delta) if sigma is None else float(sigma)
-    return PrivacyParams(epsilon, delta, sigma, float(clip_norm), min(1.0, batch_target / n_rows))
+    sigma = gaussian_sigma(epsilon, delta) if sigma is None else sigma
+    return PrivacyParams(epsilon, delta, sigma, clip_norm, min(1.0, batch_target / n_rows))
 
 
 def gaussian_sigma(epsilon: float, delta: float) -> float:

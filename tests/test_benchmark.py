@@ -88,6 +88,24 @@ def test_load_plan_round_trip(tmp_path):
         load_plan(plan_path)
 
 
+@pytest.mark.parametrize("plan, match", [
+    ([], "malformed benchmark plan"),
+    ({"datasets": [1]}, "malformed benchmark plan"),
+    ({"seeds": [0.7]}, "'seeds'"),
+    ({"repeats": "1"}, "'repeats'"),
+    ({"datasets": [{"name": "toy", "path": "toy.csv", "subsample": "40"}]}, "'subsample'"),
+], ids=["list", "dataset-entry", "fractional-seed", "string-repeats", "string-subsample"])
+def test_load_plan_rejects_malformed_plans(tmp_path, plan, match):
+    if isinstance(plan, dict):
+        plan = dict({"datasets": [{"name": "toy", "path": "toy.csv"}],
+                     "models": ["tablediffusion"], "epsilons": [None],
+                     "repeats": 1, "seeds": [0]}, **plan)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    with pytest.raises(ConfigError, match=match):
+        load_plan(plan_path)
+
+
 def test_dataset_subsample_is_deterministic(tmp_path):
     path, text = tiny_csv(tmp_path)
     spec = DatasetSpec("toy", str(path), subsample=20)
@@ -131,6 +149,17 @@ def test_run_cell_rejects_unknown_options(tmp_path):
     table = load_plan_dataset(DatasetSpec("toy", str(path)))
     with pytest.raises(ConfigError, match="tempurature"):
         run_cell(table, "tablediffusion", None, 0, options={"tempurature": 2})
+
+
+@pytest.mark.parametrize("model", ["tablediffusion", "dpwgan"])
+@pytest.mark.parametrize("key, value", [
+    ("epochs", True), ("batch_target", 64.9), ("clip_norm", True), ("sigma", "1.5"),
+])
+def test_run_cell_rejects_a_wrongly_typed_option_naming_it(tmp_path, model, key, value):
+    path, _ = tiny_csv(tmp_path)
+    table = load_plan_dataset(DatasetSpec("toy", str(path)))
+    with pytest.raises(ConfigError, match=repr(key)):
+        run_cell(table, model, 1.0, 0, options=dict(FAST_OPTIONS, **{key: value}))
 
 
 def test_a_zero_sigma_fails_its_cell(tmp_path):
@@ -216,3 +245,10 @@ def test_worker_count_respects_env(monkeypatch):
     assert worker_count(1) == 1
     monkeypatch.delenv("TABSYNTH_THREADS")
     assert worker_count(4) >= 1
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+def test_worker_count_rejects_a_bad_thread_cap(monkeypatch, value):
+    monkeypatch.setenv("TABSYNTH_THREADS", value)
+    with pytest.raises(ConfigError, match="TABSYNTH_THREADS"):
+        worker_count(2)

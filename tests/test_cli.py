@@ -249,6 +249,19 @@ def test_sample_rejects_a_corrupt_v2_bundle(tmp_path, data_csv, capsys):
     assert not out.exists()
 
 
+def test_sample_rejects_a_bundle_with_a_wrongly_typed_config_value(tmp_path, data_csv,
+                                                                   capsys):
+    bundle = tmp_path / "model.json"
+    assert main(train_args(data_csv, bundle)) == 0
+    payload = json.loads(bundle.read_text())
+    payload["config"]["epochs"] = True
+    bundle.write_text(json.dumps(payload))
+    out = tmp_path / "synth.csv"
+    assert main(["sample", "--model", str(bundle), "--rows", "5", "--out", str(out)]) == 2
+    assert "'epochs'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_rejects_a_bundle_whose_epsilon_disagrees_with_its_ledger(tmp_path, data_csv,
                                                                        capsys):
     bundle = tmp_path / "model.json"

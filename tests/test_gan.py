@@ -7,6 +7,7 @@ from tabsynth.accountant import fresh_ledger, to_epsilon_delta
 from tabsynth.encoding import encode
 from tabsynth.errors import ConfigError
 from tabsynth.gan import DPWGAN, GanConfig, sample_gan, train_dpwgan
+from tabsynth.nn import Network
 from tabsynth.privacy import PrivacyParams
 from tabsynth.schema import ColumnKind, ColumnSchema, RawTable, TableSchema
 
@@ -126,3 +127,22 @@ def test_sampling_uses_generator_only():
     np.testing.assert_array_equal(a, direct)
     with pytest.raises(ConfigError):
         sample_gan(model, 0, np.random.default_rng(0))
+
+
+def test_private_generator_updates_build_no_critic_gradient(monkeypatch):
+    # The critic's private updates clip from ghost norms and the generator
+    # step needs only the critic's input gradient, so Network.backward runs
+    # on the generator alone.
+    backward_nets = []
+    original = Network.backward
+
+    def recording(self, caches, loss_grads, per_sample=True):
+        backward_nets.append(self)
+        return original(self, caches, loss_grads, per_sample)
+
+    monkeypatch.setattr(Network, "backward", recording)
+    privacy = PrivacyParams(epsilon_target=5.0, delta=1e-5, sigma=2.0, clip_norm=1.0,
+                            sample_rate=0.25)
+    model = train_dpwgan(tiny_matrix(), small_config(privacy=privacy, batch_target=10), seed=0)
+    assert model.ledger.steps_taken > model.config.critic_steps
+    assert backward_nets and all(net is model.generator for net in backward_nets)

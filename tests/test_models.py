@@ -73,6 +73,40 @@ def test_make_config_rejects_options_the_model_does_not_read():
         option_keys("copula")
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    (NOISE_PREDICTOR, "epochs", True),
+    (NOISE_PREDICTOR, "steps", 2.0),
+    (NOISE_PREDICTOR, "lr", "0.1"),
+    ("dpwgan", "latent_dim", None),
+    ("dpwgan", "weight_clamp", [0.01]),
+])
+def test_make_config_rejects_a_wrongly_typed_option_naming_it(kind, key, value):
+    with pytest.raises(ConfigError, match=repr(key)):
+        make_config(kind, **{key: value})
+
+
+def test_config_classes_store_ints_and_floats():
+    # numpy scalars are accepted; an int given for a float field becomes a float
+    config = make_config("dpwgan", epochs=np.int64(3), critic_lr=1, weight_clamp=np.float32(0.5))
+    assert type(config.epochs) is int and config.epochs == 3
+    assert type(config.critic_lr) is float and config.critic_lr == 1.0
+    assert type(config.weight_clamp) is float and config.weight_clamp == 0.5
+    privacy = PrivacyParams(epsilon_target=1, delta=1e-5, sigma=np.int32(2), clip_norm=1,
+                            sample_rate=1)
+    assert all(type(v) is float for v in vars(privacy).values())
+    with pytest.raises(ConfigError, match="'sigma'"):
+        PrivacyParams(epsilon_target=1.0, delta=1e-5, sigma="1.5", clip_norm=1.0,
+                      sample_rate=0.5)
+
+
+def test_load_rejects_a_wrongly_typed_config_value():
+    payload = bundle_dict(diffusion_model())
+    edited = json.loads(json.dumps(payload))
+    edited["config"]["epochs"] = True
+    with pytest.raises(BundleError, match="'epochs'"):
+        model_from_dict(edited)
+
+
 def test_diffusion_round_trip_is_exact(tmp_path):
     model = diffusion_model()
     before = sample_table(model, 20, seed=123)
