@@ -41,6 +41,8 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if self.subsample is not None:
             object.__setattr__(self, "subsample", typed_number("subsample", self.subsample, int))
+            if self.subsample < 1:
+                raise ConfigError(f"subsample must be >= 1, got {self.subsample}")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ corrupt bundles, degenerate data) exits with 2.
 """
 
 import json
+import math
 from dataclasses import fields
 from numbers import Integral, Real
 
@@ -41,11 +42,18 @@ class PrivacyError(TabsynthError):
 
 def typed_number(name: str, value, kind: type):
     """``value`` as ``kind`` (int or float), taking numpy scalars too; a bool,
-    a string, null, a list, or a fraction for an int is a ConfigError."""
+    a string, null, a list, a fraction for an int, or a NaN or infinity is a
+    ConfigError."""
     if isinstance(value, bool) or not isinstance(value, Integral if kind is int else Real):
         wanted = "an integer" if kind is int else "a number"
         raise ConfigError(f"option {name!r} must be {wanted}, got {json.dumps(value, default=repr)}")
-    return kind(value)
+    try:
+        number = kind(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if kind is float and not math.isfinite(number):
+        raise ConfigError(f"option {name!r} must be finite, got {number}")
+    return number
 
 
 def check_number_fields(instance) -> None:

@@ -2,16 +2,14 @@
 
 Everything here exists so that DP-SGD can clip gradients per sample, and
 no layer ever mixes information across samples (normalization is per
-sample, per group).  Training clips from ghost norms: ``backward_pairs``
-backpropagates one batch and returns, for every Dense and GroupNorm
-layer, the layer input and output gradient that its per-sample parameter
-gradients are built from, and ``privacy.ghost_clip`` computes norms and
-the clipped sum from those pairs without forming a (batch, n_params)
-matrix.  ``backward(per_sample=True)``, which keeps the batch axis all
-the way through and does form that matrix, is kept as the reference the
-ghost norms are tested against.  Determinism matters more than speed:
-given the same seed, forward, backward and initialization are
-bit-reproducible.
+sample, per group).  The one backward walk, ``backward_pairs``, returns
+for every Dense and GroupNorm layer a ``GradPair``: the layer input and
+output gradient that its per-sample parameter gradients are built from.
+``GradPair.write`` turns pairs into the batch-mean gradient or the
+(batch, n_params) per-sample matrix, the reference the ghost norms of
+``privacy.ghost_clip`` are tested against.  Determinism matters more
+than speed: given the same seed, forward, backward and initialization
+are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -38,11 +36,30 @@ class GradPair(NamedTuple):
     a: np.ndarray
     g: np.ndarray
 
+    def write(self, grads: np.ndarray, per_sample: bool) -> None:
+        """Fill the layer's slice of (batch, n_params) or batch-mean ``grads``."""
+        layer, a, g = self.layer, self.a, self.g
+        out = grads[..., self.start : self.start + layer.n_params]
+        split = layer.n_outer
+        if per_sample:
+            if split:
+                out[:, :split] = (g[:, :, None] * a[:, None, :]).reshape(g.shape[0], -1)
+            out[:, split:] = layer.rows(a, g)
+        else:
+            if split:
+                out[:split] = (g.T @ a).ravel() / g.shape[0]
+            layer.mean_rows(a, g, out[split:])
+
 
 class Layer:
-    """Base layer: owns a contiguous slice of the network's flat parameters."""
+    """Base layer: owns a contiguous slice of the network's flat parameters.
+
+    A parametrized layer's first ``n_outer`` parameters have per-sample
+    gradient g⊗a; ``rows(a, g)`` forms the rest's, ``mean_rows`` its mean.
+    """
 
     n_params: int = 0
+    n_outer: int = 0
     out_dim: int | None = None
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
@@ -51,17 +68,25 @@ class Layer:
     def forward(self, p: np.ndarray, x: np.ndarray, mode: str, rng):
         raise NotImplementedError
 
+    def input_grad(self, p, cache, gy) -> np.ndarray:
+        """dL/dx of a layer without parameters."""
+        raise NotImplementedError
+
+    def backward_pairs(self, p, cache, gy, start: int, pairs: list) -> np.ndarray:
+        """Return dL/dx; append a GradPair per parametrized layer to pairs."""
+        return self.input_grad(p, cache, gy)
+
     def backward(self, p, cache, gy, grad_out, per_sample: bool) -> np.ndarray:
         """Return dL/dx; fill grad_out with parameter gradients.
 
         grad_out is a (batch, n_params) slice in per-sample mode or a
         (n_params,) slice holding the batch-mean gradient otherwise.
         """
-        raise NotImplementedError
-
-    def backward_pairs(self, p, cache, gy, start: int, pairs: list) -> np.ndarray:
-        """Return dL/dx; append a GradPair per parametrized layer to pairs."""
-        return self.backward(p, cache, gy, None, False)
+        pairs: list[GradPair] = []
+        gx = self.backward_pairs(p, cache, gy, 0, pairs)
+        for pair in pairs:
+            pair.write(grad_out, per_sample)
+        return gx
 
     def to_spec(self) -> dict:
         raise NotImplementedError
@@ -71,7 +96,8 @@ class Dense(Layer):
     def __init__(self, in_dim: int, out_dim: int):
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.n_params = out_dim * in_dim + out_dim
+        self.n_outer = out_dim * in_dim
+        self.n_params = self.n_outer + out_dim
 
     def init_params(self, rng):
         # Glorot-style: weights ~ N(0, 2 / (in + out)), biases zero.
@@ -80,30 +106,22 @@ class Dense(Layer):
         return np.concatenate([w.ravel(), np.zeros(self.out_dim)])
 
     def _weights(self, p):
-        split = self.out_dim * self.in_dim
-        return p[:split].reshape(self.out_dim, self.in_dim), p[split:]
+        return p[: self.n_outer].reshape(self.out_dim, self.in_dim), p[self.n_outer :]
 
     def forward(self, p, x, mode, rng):
         w, b = self._weights(p)
         return x @ w.T + b, x
 
-    def backward(self, p, cache, gy, grad_out, per_sample):
-        x = cache
-        w, _ = self._weights(p)
-        split = self.out_dim * self.in_dim
-        if per_sample:
-            grad_out[:, :split] = (gy[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
-            grad_out[:, split:] = gy
-        else:
-            batch = x.shape[0]
-            grad_out[:split] = (gy.T @ x).ravel() / batch
-            grad_out[split:] = gy.mean(axis=0)
-        return gy @ w
-
     def backward_pairs(self, p, cache, gy, start, pairs):
         pairs.append(GradPair(self, start, cache, gy))
         w, _ = self._weights(p)
         return gy @ w
+
+    def rows(self, a, g):
+        return g
+
+    def mean_rows(self, a, g, out):
+        out[:] = g.mean(axis=0)
 
     def to_spec(self):
         return {"type": "dense", "in": self.in_dim, "out": self.out_dim}
@@ -113,7 +131,7 @@ class Relu(Layer):
     def forward(self, p, x, mode, rng):
         return np.maximum(x, 0.0), x > 0.0
 
-    def backward(self, p, cache, gy, grad_out, per_sample):
+    def input_grad(self, p, cache, gy):
         return gy * cache
 
     def to_spec(self):
@@ -128,7 +146,7 @@ class LeakyRelu(Layer):
         pos = x > 0.0
         return np.where(pos, x, self.slope * x), pos
 
-    def backward(self, p, cache, gy, grad_out, per_sample):
+    def input_grad(self, p, cache, gy):
         return np.where(cache, gy, self.slope * gy)
 
     def to_spec(self):
@@ -140,7 +158,7 @@ class Sigmoid(Layer):
         y = 1.0 / (1.0 + np.exp(-x))
         return y, y
 
-    def backward(self, p, cache, gy, grad_out, per_sample):
+    def input_grad(self, p, cache, gy):
         y = cache
         return gy * y * (1.0 - y)
 
@@ -165,7 +183,7 @@ class Dropout(Layer):
         mask = (rng.random(x.shape) < keep) / keep
         return x * mask, mask
 
-    def backward(self, p, cache, gy, grad_out, per_sample):
+    def input_grad(self, p, cache, gy):
         return gy if cache is None else gy * cache
 
     def to_spec(self):
@@ -182,7 +200,7 @@ class GroupNorm(Layer):
     The kernels are one-pass over each group of k channels.  ``forward``
     centres once with the group ``sum / k``, takes the variance of the
     centred values with one ``einsum`` and scales them to x̂ in place.
-    ``_input_grad`` forms ĝ = gy·γ and subtracts its group mean and
+    ``backward_pairs`` forms ĝ = gy·γ and subtracts its group mean and
     x̂⟨ĝ, x̂⟩/k, both reduced once, before scaling by 1/σ in place.  Only
     arrays a kernel allocated itself are written in place: the input, the
     incoming gradient and the cached ``(xhat, inv_std)`` are never written
@@ -219,23 +237,9 @@ class GroupNorm(Layer):
         y += delta
         return y, (xhat, inv_std)
 
-    def backward(self, p, cache, gy, grad_out, per_sample):
-        xhat = cache[0]
-        if per_sample:
-            grad_out[:, : self.channels] = gy * xhat
-            grad_out[:, self.channels :] = gy
-        else:
-            batch = gy.shape[0]
-            grad_out[: self.channels] = np.einsum("bc,bc->c", gy, xhat) / batch
-            grad_out[self.channels :] = gy.sum(axis=0) / batch
-        return self._input_grad(p, cache, gy)
-
     def backward_pairs(self, p, cache, gy, start, pairs):
-        pairs.append(GradPair(self, start, cache[0], gy))
-        return self._input_grad(p, cache, gy)
-
-    def _input_grad(self, p, cache, gy):
         xhat, inv_std = cache
+        pairs.append(GradPair(self, start, xhat, gy))
         gamma = p[: self.channels]
         b = gy.shape[0]
         k = self.channels // self.groups
@@ -247,6 +251,14 @@ class GroupNorm(Layer):
         ghat -= xh * proj
         ghat *= inv_std
         return ghat.reshape(b, self.channels)
+
+    def rows(self, a, g):
+        return np.concatenate([g * a, g], axis=1)
+
+    def mean_rows(self, a, g, out):
+        batch = g.shape[0]
+        out[: self.channels] = np.einsum("bc,bc->c", g, a) / batch
+        out[self.channels :] = g.sum(axis=0) / batch
 
     def to_spec(self):
         return {"type": "group_norm", "channels": self.channels, "groups": self.groups}
@@ -283,17 +295,6 @@ class ResidualConcatBlock(Layer):
             h, cache = layer.forward(p[sl], h, mode, rng)
             caches.append(cache)
         return np.concatenate([x, h], axis=1), caches
-
-    def backward(self, p, cache, gy, grad_out, per_sample):
-        gx_direct = gy[:, : self.in_dim]
-        gh = gy[:, self.in_dim :]
-        slices = self._slices()
-        for layer, sl, layer_cache in zip(
-            reversed(self.inner), reversed(slices), reversed(cache)
-        ):
-            sub = grad_out[:, sl] if per_sample else grad_out[sl]
-            gh = layer.backward(p[sl], layer_cache, gh, sub, per_sample)
-        return gx_direct + gh
 
     def backward_pairs(self, p, cache, gy, start, pairs):
         gh = gy[:, self.in_dim :]
@@ -369,18 +370,11 @@ class Network:
         in per-sample mode — row i is the gradient of sample i's own loss
         — or the (n_params,) batch-mean gradient otherwise.
         """
-        batch = loss_grads.shape[0]
-        if per_sample:
-            grads = np.zeros((batch, self.n_params))
-        else:
-            grads = np.zeros(self.n_params)
-        gy = np.asarray(loss_grads, dtype=np.float64)
-        for layer, sl, cache in zip(
-            reversed(self.layers), reversed(self.slices), reversed(caches)
-        ):
-            out = grads[:, sl] if per_sample else grads[sl]
-            gy = layer.backward(self.params[sl], cache, gy, out, per_sample)
-        return grads, gy
+        pairs, gx = self.backward_pairs(caches, loss_grads)
+        grads = np.zeros((gx.shape[0], self.n_params) if per_sample else self.n_params)
+        for pair in pairs:
+            pair.write(grads, per_sample)
+        return grads, gx
 
     def backward_pairs(self, caches, loss_grads: np.ndarray):
         """Backpropagate without forming any parameter gradient.

@@ -11,10 +11,11 @@ log) through one ``TrainingDriver`` and only build their forward passes;
 the CLI and the benchmark sweep build ``PrivacyParams`` with
 ``build_privacy``.  Private updates come from ``dp_sgd_step``, which clips
 from ghost norms (``ghost_clip``): each sample's gradient norm and the
-clipped sum come from the layer inputs and output gradients of ordinary
-batch backprop, so no (batch, n_params) matrix is built.
-``clip_per_sample`` and ``privatize_batch_gradient`` apply the same rule
-to a materialized per-sample gradient matrix and are kept as the
+clipped sum come from the ``GradPair``s of ``Network.backward_pairs``,
+the network's one backward walk, and each layer's own ``rows`` formula,
+so no (batch, n_params) matrix is built.  ``clip_per_sample`` and
+``privatize_batch_gradient`` apply the same rule to the per-sample matrix
+that ``Network.backward`` builds from the same pairs, and are kept as the
 reference the step is tested against.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 from .accountant import (RdpLedger, accumulate_step, count_step, fresh_ledger,
                          to_epsilon_delta)
 from .errors import PrivacyError, check_number_fields
-from .nn import AdamState, Dense, Network, adam_step
+from .nn import AdamState, Network, adam_step
 
 # Defaults of the CLI, the benchmark sweep and both model configs.
 DEFAULT_DELTA = 1e-5
@@ -86,16 +87,17 @@ def ghost_clip(net: Network, passes, clip_norm: float) -> tuple[np.ndarray, np.n
     ``passes`` holds (caches, loss_grads) pairs from ``net.forward`` over
     the same batch rows, and sample i's gradient G_i is the sum over the
     passes of the gradients of its losses (so losses to be averaged must
-    come with pre-scaled loss gradients).  With a Dense layer's inputs
-    x_{i,t} and output gradients g_{i,t} in pass t,
+    come with pre-scaled loss gradients).  Each layer's ``GradPair`` of
+    pass t holds inputs a_{i,t} and output gradients g_{i,t}.  The leading
+    block of g⊗a gradients gets its norm from the Gram trick,
 
-        |G_i^W|^2 = sum_{t,s} (x_{i,t} . x_{i,s}) (g_{i,t} . g_{i,s}),
-        |G_i^b|^2 = |sum_t g_{i,t}|^2,
+        |G_i^outer|^2 = sum_{t,s} (a_{i,t} . a_{i,s}) (g_{i,t} . g_{i,s}),
 
-    and GroupNorm's (batch, 2C) affine gradients are formed directly.
-    The clipped sum is sum_i c_i G_i with c_i = 1 / max(1, |G_i| / C),
-    one GEMM per Dense layer over the passes concatenated along the batch
-    axis.  Returns (norms, clipped_sum) of shapes (batch,) and (n_params,).
+    and the trailing block's rows, sum_t ``layer.rows(a_t, g_t)``, are
+    formed directly.  The clipped sum is sum_i c_i G_i with
+    c_i = 1 / max(1, |G_i| / C), one GEMM per leading block over the passes
+    concatenated along the batch axis.  Returns (norms, clipped_sum) of
+    shapes (batch,) and (n_params,).
     """
     if clip_norm <= 0.0:
         raise PrivacyError(f"clipping norm must be positive, got {clip_norm}")
@@ -107,26 +109,22 @@ def ghost_clip(net: Network, passes, clip_norm: float) -> tuple[np.ndarray, np.n
         layer, start = pairs[0].layer, pairs[0].start
         a = [pair.a for pair in pairs]  # per pass: (batch, in)
         g = [pair.g for pair in pairs]  # per pass: (batch, out)
-        # rows: the per-sample gradients small enough to form directly.
-        if isinstance(layer, Dense):
-            rows = sum(g)
+        if layer.n_outer:
             for t in range(len(pairs)):
                 squared += _row_dots(a[t], a[t]) * _row_dots(g[t], g[t])
                 for s in range(t):
                     squared += 2.0 * _row_dots(a[t], a[s]) * _row_dots(g[t], g[s])
-            layers.append((layer, start, a, g, rows))
-        else:
-            rows = np.concatenate([sum(gt * at for gt, at in zip(g, a)), sum(g)], axis=1)
-            layers.append((layer, start, None, None, rows))
+        rows = sum(layer.rows(at, gt) for at, gt in zip(a, g))
         squared += _row_dots(rows, rows)
+        layers.append((layer, start, a, g, rows))
     norms = np.sqrt(squared)
     scale = 1.0 / np.maximum(1.0, norms / clip_norm)
 
     clipped = np.zeros(net.n_params)
     for layer, start, a, g, rows in layers:
         stop = start + layer.n_params
-        split = stop - rows.shape[1]
-        if a is not None:
+        split = start + layer.n_outer
+        if layer.n_outer:
             scaled = np.concatenate([gt * scale[:, None] for gt in g])
             clipped[start:split] = (scaled.T @ np.concatenate(a)).ravel()
         clipped[split:stop] = scale @ rows

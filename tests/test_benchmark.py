@@ -16,6 +16,7 @@ from tabsynth.benchmark import (
     run_cell,
     worker_count,
 )
+from tabsynth.cli import main
 from tabsynth.errors import ConfigError, PrivacyError
 from tabsynth.metrics import FidelityReport
 from tabsynth.schema import RawTable, infer_schema, parse_table, save_schema, write_table
@@ -119,6 +120,23 @@ def test_dataset_subsample_is_deterministic(tmp_path):
     assert positions == sorted(positions)
     # no subsample requested: the table passes through whole
     assert len(load_plan_dataset(DatasetSpec("toy", str(path))).rows) == 60
+
+
+@pytest.mark.parametrize("subsample", [0, -1])
+def test_a_subsample_below_one_exits_1_naming_it(tmp_path, capsys, subsample):
+    with pytest.raises(ConfigError, match="subsample"):
+        DatasetSpec("toy", "toy.csv", subsample=subsample)
+    path, _ = tiny_csv(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({
+        "datasets": [{"name": "toy", "path": str(path), "subsample": subsample}],
+        "models": ["tablediffusion"], "epsilons": [None], "repeats": 1, "seeds": [0],
+        "options": FAST_OPTIONS,
+    }))
+    out_dir = tmp_path / "bench"
+    assert main(["benchmark", "--plan", str(plan_path), "--out", str(out_dir)]) == 1
+    assert "subsample" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_dataset_with_explicit_schema(tmp_path):

@@ -154,6 +154,31 @@ def test_a_wrongly_typed_config_value_exits_1_naming_the_key(tmp_path, data_csv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--epsilon", "1", "--sigma", "nan"],
+    ["--epsilon", "1", "--lr", "nan"],
+    ["--lr", "inf"],
+    ["--epsilon", "nan"],
+])
+def test_a_non_finite_flag_exits_1_and_writes_no_bundle(tmp_path, data_csv, capsys, flags):
+    out = tmp_path / "m.json"
+    assert main(train_args(data_csv, out, extra=flags)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert not out.exists()
+
+
+def test_a_non_finite_config_value_exits_1_naming_the_key(tmp_path, data_csv, capsys):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"sigma": NaN}')
+    out = tmp_path / "m.json"
+    assert main(["train", "--config", str(cfg), "--data", str(data_csv), "--model",
+                 "tablediffusion", "--epsilon", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'sigma'" in err and "must be finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model, key, value", [
     ("tablediffusion", "width", "8"),
     ("tablediffusion", "width", None),

@@ -99,6 +99,25 @@ def test_config_classes_store_ints_and_floats():
                       sample_rate=0.5)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float32("nan"), 10**400],
+                         ids=["nan", "inf", "-inf", "float32-nan", "int-beyond-float"])
+def test_config_classes_refuse_non_finite_floats(value):
+    with pytest.raises(ConfigError, match="'lr'.*finite"):
+        DiffusionConfig(lr=value)
+    with pytest.raises(ConfigError, match="'critic_lr'.*finite"):
+        GanConfig(critic_lr=value)
+    with pytest.raises(ConfigError, match="'sigma'.*finite"):
+        PrivacyParams(epsilon_target=1.0, delta=1e-5, sigma=value, clip_norm=1.0,
+                      sample_rate=0.5)
+
+
+def test_load_rejects_a_non_finite_config_value():
+    edited = json.loads(json.dumps(bundle_dict(diffusion_model())))
+    edited["config"]["lr"] = float("nan")
+    with pytest.raises(BundleError, match="'lr'"):
+        model_from_dict(edited)
+
+
 def test_load_rejects_a_wrongly_typed_config_value():
     payload = bundle_dict(diffusion_model())
     edited = json.loads(json.dumps(payload))

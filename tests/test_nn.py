@@ -200,6 +200,36 @@ def test_group_norm_matches_the_two_pass_reference(channels, groups, batch, offs
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("make", [
+    lambda rng: build_generator(5, 5, rng, width=16, blocks=2),
+    lambda rng: build_generator(5, 5, rng, width=12, blocks=2),
+    lambda rng: build_critic(5, rng, hidden=16),
+], ids=["groupnorm8", "groupnorm1", "critic"])
+def test_batch_mean_gradient_bytes_are_the_reference_expressions(make):
+    rng = np.random.default_rng(4)
+    net = make(rng)
+    net.params = rng.normal(0.0, 0.3, size=net.n_params)
+    y, caches = net.forward(rng.normal(size=(37, 5)), mode="train", rng=rng)
+    gy = rng.normal(size=y.shape)
+    grads, _ = net.backward(caches, gy, per_sample=False)
+
+    pairs, _ = net.backward_pairs(caches, gy)
+    assert {type(pair.layer) for pair in pairs} == (
+        {Dense} if isinstance(net.layers[0], Dense) else {Dense, GroupNorm})
+    want = np.zeros(net.n_params)
+    for layer, start, x, g in pairs:
+        b = g.shape[0]
+        out = want[start : start + layer.n_params]
+        if isinstance(layer, Dense):
+            split = layer.out_dim * layer.in_dim
+            out[:split] = (g.T @ x).ravel() / b
+            out[split:] = g.mean(axis=0)
+        else:
+            out[: layer.channels] = np.einsum("bc,bc->c", g, x) / b
+            out[layer.channels :] = g.sum(axis=0) / b
+    assert grads.tobytes() == want.tobytes()
+
+
 def test_group_norm_rejects_indivisible_groups():
     with pytest.raises(ValueError):
         GroupNorm(10, groups=4)

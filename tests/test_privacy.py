@@ -236,6 +236,7 @@ CASES = [
     pytest.param(lambda: _generator_passes(16, 5), id="groupnorm8-T5"),
     pytest.param(lambda: _generator_passes(12, 1), id="groupnorm1-T1"),
     pytest.param(lambda: _generator_passes(12, 5), id="groupnorm1-T5"),
+    pytest.param(lambda: _generator_passes(16, 5, batch=1), id="groupnorm8-T5-batch1"),
     pytest.param(_critic_passes, id="critic-dropout"),
 ]
 
@@ -249,7 +250,8 @@ def test_ghost_norms_and_clipped_sum_match_per_sample_oracle(make):
     norms, clipped = ghost_clip(net, passes, clip)
     assert np.max(np.abs(norms - oracle_norms) / oracle_norms) < 1e-12
     assert _rel(clipped, clip_per_sample(grads, clip).sum(axis=0)) < 1e-12
-    assert (oracle_norms > clip).any() and (oracle_norms < clip).any()
+    if len(oracle_norms) > 1:  # a lone row's norm is its own median: it sits on the bound
+        assert (oracle_norms > clip).any() and (oracle_norms < clip).any()
 
 
 @pytest.mark.parametrize("make", CASES)
