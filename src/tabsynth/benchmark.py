@@ -60,6 +60,8 @@ class BenchmarkPlan:
         object.__setattr__(self, "seeds", tuple(typed_number("seeds", s, int) for s in self.seeds))
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
         if len(self.seeds) != self.repeats:
             raise ConfigError(
                 f"seed list length {len(self.seeds)} must equal repeats {self.repeats}")

@@ -20,6 +20,7 @@ from .diffusion import DiffusionConfig
 from .errors import (BundleError, ConfigError, DegenerateDataError, ParseError,
                      PrivacyError, TabsynthError, typed_number)
 from .encoding import encode
+from .gan import DPWGAN
 from .metrics import DEFAULT_BINS, evaluate, pca_projection_histogram
 from .models import (MODEL_KINDS, load_bundle, make_config, option_keys, sample_table,
                      save_bundle, train_model)
@@ -74,6 +75,13 @@ def _number(cfg: dict, key: str, kind: type, default=None):
     return typed_number(key, value, kind)
 
 
+def _seed(cfg: dict) -> int:
+    seed = _number(cfg, "seed", int, 0)
+    if seed < 0:
+        raise ConfigError(f"option 'seed' must be >= 0, got {seed}")
+    return seed
+
+
 _TRAIN_KEYS = ("data", "schema", "model", "epsilon", "delta", "sigma", "clip",
                "batch", "epochs", "steps", "lr", "seed", "out")
 # Model options that only a config file sets: every model kind's options but
@@ -93,7 +101,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     delta = _number(cfg, "delta", float, DEFAULT_DELTA)
     sigma = _number(cfg, "sigma", float)
     clip = _number(cfg, "clip", float, DEFAULT_CLIP_NORM)
-    seed = _number(cfg, "seed", int, 0)
+    seed = _seed(cfg)
     batch = _number(cfg, "batch", int, DEFAULT_BATCH_TARGET)
     schema = load_schema(cfg["schema"]) if cfg.get("schema") else None
     table = load_table(_require(cfg, "data"), schema)
@@ -109,7 +117,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     options.update((key, cfg[key]) for key in ("epochs", "steps") if cfg.get(key) is not None)
     options["batch_target"] = batch
     if cfg.get("lr") is not None:
-        lr_keys = ("generator_lr", "critic_lr") if kind == "dpwgan" else ("lr",)
+        lr_keys = ("generator_lr", "critic_lr") if kind == DPWGAN else ("lr",)
         options.update(dict.fromkeys(lr_keys, typed_number("lr", cfg["lr"], float)))
 
     model = train_model(encode(table), make_config(kind, privacy=privacy, **options), seed)
@@ -131,7 +139,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     rows = typed_number("rows", _require(cfg, "rows"), int)
     if rows < 1:
         raise ConfigError(f"rows must be >= 1, got {rows}")
-    seed = _number(cfg, "seed", int, 0)
+    seed = _seed(cfg)
     model = load_bundle(_require(cfg, "model"))
     table = sample_table(model, rows, seed=seed)
     out = args.out or "synthetic.csv"

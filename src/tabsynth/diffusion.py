@@ -10,24 +10,23 @@ spans) and samples by repeated application.
 Every batch is used at all T noise levels and the T per-sample losses
 are averaged before a single privatized update, so one batch costs one
 step of privacy budget regardless of T.  The trainer builds the T
-noised passes; ``privacy.TrainingDriver`` runs the rest of the loop and
+noised passes; ``privacy.TrainingDriver`` runs the rest of the loop,
 clips each sample's gradient summed over the T passes, whose loss
-gradients it scales by 1/T.
+gradients it scales by 1/T, and returns the run as a ``TrainedModel``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import RdpLedger
 from .encoding import ColumnSpan, EncodedMatrix
 from .errors import ConfigError, check_number_fields
-from .nn import AdamState, Network, build_generator
-from .privacy import DEFAULT_BATCH_TARGET, PrivacyParams, TrainingDriver
-from .schema import ColumnKind, TableSchema
+from .nn import build_generator
+from .privacy import DEFAULT_BATCH_TARGET, PrivacyParams, TrainedModel, TrainingDriver
+from .schema import ColumnKind
 
 NOISE_PREDICTOR = "tablediffusion"
 DENOISER = "tablediffusion-denoiser"
@@ -133,26 +132,7 @@ def noise_loss_grads(y: np.ndarray, z: np.ndarray):
     return losses, 2.0 * diff / y.shape[1]
 
 
-@dataclass
-class TrainedDiffusion:
-    kind: str
-    schema: TableSchema
-    spans: tuple[ColumnSpan, ...]
-    network: Network
-    adam: AdamState
-    config: DiffusionConfig
-    ledger: RdpLedger
-    epsilon_spent: float | None
-    seed: int
-    log: list[dict] = field(default_factory=list)
-    halted_on_budget: bool = False
-
-    @property
-    def delta(self) -> float | None:
-        return self.config.privacy.delta if self.config.privacy else None
-
-
-def train_diffusion(matrix: EncodedMatrix, config: DiffusionConfig, seed: int) -> TrainedDiffusion:
+def train_diffusion(matrix: EncodedMatrix, config: DiffusionConfig, seed: int) -> TrainedModel:
     rng = np.random.default_rng(seed)
     n_rows, width = matrix.values.shape
     net = build_generator(width, width, rng, width=config.width, blocks=config.blocks)
@@ -177,22 +157,10 @@ def train_diffusion(matrix: EncodedMatrix, config: DiffusionConfig, seed: int) -
         if driver.halted:
             break
 
-    return TrainedDiffusion(
-        kind=config.variant,
-        schema=matrix.schema,
-        spans=matrix.spans,
-        network=net,
-        adam=driver.adam,
-        config=config,
-        ledger=driver.ledger,
-        epsilon_spent=driver.epsilon,
-        seed=seed,
-        log=driver.log,
-        halted_on_budget=driver.halted,
-    )
+    return driver.trained(config.variant, matrix, config, seed, net, driver.adam)
 
 
-def sample_diffusion(model: TrainedDiffusion, rows: int, rng: np.random.Generator) -> np.ndarray:
+def sample_diffusion(model: TrainedModel, rows: int, rng: np.random.Generator) -> np.ndarray:
     """Reverse process: start from pure noise, walk back to data space."""
     if rows < 1:
         raise ConfigError(f"need at least one row, got {rows}")
@@ -200,7 +168,7 @@ def sample_diffusion(model: TrainedDiffusion, rows: int, rng: np.random.Generato
     betas = cosine_beta_schedule(model.config.steps)
     x = rng.standard_normal((rows, width))
     for t_index in reversed(range(model.config.steps)):
-        y, _ = model.network.forward(x, mode="eval")
+        y, _ = model.generator.forward(x, mode="eval")
         if model.kind == NOISE_PREDICTOR:
             x = x - y * math.sqrt(float(betas[t_index]))
         else:

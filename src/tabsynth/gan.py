@@ -5,22 +5,21 @@ noised and charged to the ledger.  The generator trains on critic scores
 alone and inherits privacy through post-processing.  Lipschitz control
 is the classic weight clamp, not a gradient penalty — a penalty would
 need per-sample gradients of gradients, which the kernel does not do.
-``privacy.TrainingDriver`` runs the critic's batch loop; the trainer builds
-its real/fake pair, clamps it and runs the generator updates.
+``privacy.TrainingDriver`` runs the critic's batch loop and returns the run
+as a ``TrainedModel``; the trainer builds its real/fake pair, clamps it and
+runs the generator updates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import RdpLedger
-from .encoding import ColumnSpan, EncodedMatrix
+from .encoding import EncodedMatrix
 from .errors import ConfigError, check_number_fields
-from .nn import AdamState, Network, adam_step, build_critic, build_generator
-from .privacy import DEFAULT_BATCH_TARGET, PrivacyParams, TrainingDriver
-from .schema import TableSchema
+from .nn import AdamState, adam_step, build_critic, build_generator
+from .privacy import DEFAULT_BATCH_TARGET, PrivacyParams, TrainedModel, TrainingDriver
 
 DPWGAN = "dpwgan"
 
@@ -52,28 +51,7 @@ class GanConfig:
             raise ConfigError(f"weight clamp must be positive, got {self.weight_clamp}")
 
 
-@dataclass
-class TrainedGan:
-    kind: str
-    schema: TableSchema
-    spans: tuple[ColumnSpan, ...]
-    generator: Network
-    critic: Network
-    adam_generator: AdamState
-    adam_critic: AdamState
-    config: GanConfig
-    ledger: RdpLedger
-    epsilon_spent: float | None
-    seed: int
-    log: list[dict] = field(default_factory=list)
-    halted_on_budget: bool = False
-
-    @property
-    def delta(self) -> float | None:
-        return self.config.privacy.delta if self.config.privacy else None
-
-
-def train_dpwgan(matrix: EncodedMatrix, config: GanConfig, seed: int) -> TrainedGan:
+def train_dpwgan(matrix: EncodedMatrix, config: GanConfig, seed: int) -> TrainedModel:
     rng = np.random.default_rng(seed)
     n_rows, width = matrix.values.shape
     generator = build_generator(config.latent_dim, width, rng,
@@ -117,24 +95,10 @@ def train_dpwgan(matrix: EncodedMatrix, config: GanConfig, seed: int) -> Trained
         if driver.halted:
             break
 
-    return TrainedGan(
-        kind=DPWGAN,
-        schema=matrix.schema,
-        spans=matrix.spans,
-        generator=generator,
-        critic=critic,
-        adam_generator=adam_g,
-        adam_critic=driver.adam,
-        config=config,
-        ledger=driver.ledger,
-        epsilon_spent=driver.epsilon,
-        seed=seed,
-        log=driver.log,
-        halted_on_budget=driver.halted,
-    )
+    return driver.trained(DPWGAN, matrix, config, seed, generator, adam_g, critic)
 
 
-def sample_gan(model: TrainedGan, rows: int, rng: np.random.Generator) -> np.ndarray:
+def sample_gan(model: TrainedModel, rows: int, rng: np.random.Generator) -> np.ndarray:
     if rows < 1:
         raise ConfigError(f"need at least one row, got {rows}")
     z = rng.standard_normal((rows, model.config.latent_dim))

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoding import EncodedMatrix, encode
-from .errors import DegenerateDataError, SchemaError
+from .errors import ConfigError, DegenerateDataError, SchemaError
 from .schema import ColumnKind, RawTable
 
 DEFAULT_RIDGE = 1e-6
@@ -406,6 +406,8 @@ def pca_projection_histogram(real, other, bins: int = DEFAULT_BINS) -> Projectio
     The bounding box comes from the real projections; points of ``other``
     falling outside are clipped into the edge bins.
     """
+    if bins < 1:
+        raise ConfigError(f"pca_projection_histogram: bins must be >= 1, got {bins}")
     xr, xo = _as_values(real), _as_values(other)
     if xr.shape[1] != xo.shape[1]:
         raise SchemaError("pca_projection_histogram: width mismatch")

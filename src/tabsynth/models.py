@@ -1,5 +1,9 @@
 """Model facade: one entry point to train, sample, save and load.
 
+Both trainers return the training driver's ``TrainedModel``; its ``kind``
+picks the sampler, and a bundle stores its sampling network at top level
+and, for the DP-WGAN, the critic under ``critic``.
+
 Bundles are sorted-key JSON. From format version 2 the float arrays
 (parameters and Adam moments) are stored as base64 of their raw
 little-endian float64 bytes, so a load restores every value bit for bit and
@@ -18,13 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .accountant import RdpLedger, to_epsilon_delta
-from .diffusion import (DENOISER, NOISE_PREDICTOR, DiffusionConfig, TrainedDiffusion,
-                        sample_diffusion, train_diffusion)
+from .diffusion import (DENOISER, NOISE_PREDICTOR, DiffusionConfig, sample_diffusion,
+                        train_diffusion)
 from .encoding import ColumnSpan, EncodedMatrix, decode
 from .errors import BundleError, ConfigError
-from .gan import DPWGAN, GanConfig, TrainedGan, sample_gan, train_dpwgan
+from .gan import DPWGAN, GanConfig, sample_gan, train_dpwgan
 from .nn import AdamState, Network
-from .privacy import PrivacyParams
+from .privacy import PrivacyParams, TrainedModel
 from .schema import ColumnKind, RawTable, TableSchema
 
 FORMAT_VERSION = 2
@@ -33,7 +37,7 @@ _EPSILON_TOLERANCE = 1e-9  # stored epsilon_spent against the ledger's
 
 
 def train_model(matrix: EncodedMatrix, config: DiffusionConfig | GanConfig,
-                seed: int) -> TrainedDiffusion | TrainedGan:
+                seed: int) -> TrainedModel:
     if isinstance(config, DiffusionConfig):
         return train_diffusion(matrix, config, seed)
     if isinstance(config, GanConfig):
@@ -62,12 +66,10 @@ def make_config(kind: str, privacy: PrivacyParams | None = None, **options):
     return DiffusionConfig(variant=kind, privacy=privacy, **options)
 
 
-def sample_encoded(model, rows: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(model, TrainedDiffusion):
-        return sample_diffusion(model, rows, rng)
-    if isinstance(model, TrainedGan):
-        return sample_gan(model, rows, rng)
-    raise ConfigError(f"cannot sample from {type(model).__name__}")
+def sample_encoded(model: TrainedModel, rows: int, rng: np.random.Generator) -> np.ndarray:
+    if not isinstance(model, TrainedModel):
+        raise ConfigError(f"cannot sample from {type(model).__name__}")
+    return (sample_gan if model.kind == DPWGAN else sample_diffusion)(model, rows, rng)
 
 
 def sample_table(model, rows: int, seed: int) -> RawTable:
@@ -119,6 +121,12 @@ def _adam_to_json(state: AdamState) -> dict:
     return {"m": _array_to_json(state.m), "v": _array_to_json(state.v), "t": state.t}
 
 
+def _network_to_json(net: Network, adam: AdamState) -> dict:
+    """The keys a bundle stores for one network and its Adam state."""
+    return {"layer_specs": net.layer_specs(), "parameters": _array_to_json(net.params),
+            "adam": _adam_to_json(adam)}
+
+
 def _adam_from_json(payload, version: int, n_params: int, where: str) -> AdamState:
     moments = []
     for key in ("m", "v"):
@@ -141,7 +149,7 @@ def _config_from_json(kind: str, payload: dict):
                        **payload)
 
 
-def bundle_dict(model: TrainedDiffusion | TrainedGan) -> dict:
+def bundle_dict(model: TrainedModel) -> dict:
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
@@ -152,24 +160,14 @@ def bundle_dict(model: TrainedDiffusion | TrainedGan) -> dict:
         "epsilon_spent": model.epsilon_spent,
         "delta": model.delta,
         "seed": model.seed,
+        **_network_to_json(model.generator, model.adam),
     }
-    if isinstance(model, TrainedGan):
-        payload["layer_specs"] = model.generator.layer_specs()
-        payload["parameters"] = _array_to_json(model.generator.params)
-        payload["adam"] = _adam_to_json(model.adam_generator)
-        payload["critic"] = {
-            "layer_specs": model.critic.layer_specs(),
-            "parameters": _array_to_json(model.critic.params),
-            "adam": _adam_to_json(model.adam_critic),
-        }
-    else:
-        payload["layer_specs"] = model.network.layer_specs()
-        payload["parameters"] = _array_to_json(model.network.params)
-        payload["adam"] = _adam_to_json(model.adam)
+    if model.critic is not None:
+        payload["critic"] = _network_to_json(model.critic, model.adam_critic)
     return payload
 
 
-def save_bundle(model: TrainedDiffusion | TrainedGan, path: str | Path) -> None:
+def save_bundle(model: TrainedModel, path: str | Path) -> None:
     text = json.dumps(bundle_dict(model), sort_keys=True)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
@@ -202,7 +200,7 @@ def _checked_epsilon(payload: dict, privacy: PrivacyParams | None,
     return spent
 
 
-def model_from_dict(payload: dict) -> TrainedDiffusion | TrainedGan:
+def model_from_dict(payload: dict) -> TrainedModel:
     try:
         version = payload["format_version"]
         if version not in (1, FORMAT_VERSION):
@@ -216,19 +214,11 @@ def model_from_dict(payload: dict) -> TrainedDiffusion | TrainedGan:
         ledger = RdpLedger.from_state(payload["ledger"])
         epsilon_spent = _checked_epsilon(payload, config.privacy, ledger)
         seed = int(payload["seed"])
-        network, adam = _network_from_json(payload, version)
-        if kind == DPWGAN:
-            critic, adam_critic = _network_from_json(payload["critic"], version, "critic.")
-            return TrainedGan(
-                kind=kind, schema=schema, spans=spans, generator=network,
-                critic=critic, adam_generator=adam, adam_critic=adam_critic,
-                config=config, ledger=ledger, epsilon_spent=epsilon_spent,
-                seed=seed,
-            )
-        return TrainedDiffusion(
-            kind=kind, schema=schema, spans=spans, network=network, adam=adam,
-            config=config, ledger=ledger, epsilon_spent=epsilon_spent, seed=seed,
-        )
+        generator, adam = _network_from_json(payload, version)
+        critic, adam_critic = (_network_from_json(payload["critic"], version, "critic.")
+                               if kind == DPWGAN else (None, None))
+        return TrainedModel(kind, schema, spans, config, seed, generator, adam, ledger,
+                            epsilon_spent, critic=critic, adam_critic=adam_critic)
     except BundleError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -237,7 +227,7 @@ def model_from_dict(payload: dict) -> TrainedDiffusion | TrainedGan:
         raise BundleError(f"invalid bundle contents: {exc}") from exc
 
 
-def load_bundle(path: str | Path) -> TrainedDiffusion | TrainedGan:
+def load_bundle(path: str | Path) -> TrainedModel:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

@@ -7,29 +7,36 @@ subsampling amplification applies; empty batches are simply skipped and
 never charged.
 
 Both trainers run their batch loop (draw, budget halt, update, ledger,
-log) through one ``TrainingDriver`` and only build their forward passes;
-the CLI and the benchmark sweep build ``PrivacyParams`` with
-``build_privacy``.  Private updates come from ``dp_sgd_step``, which clips
-from ghost norms (``ghost_clip``): each sample's gradient norm and the
-clipped sum come from the ``GradPair``s of ``Network.backward_pairs``,
-the network's one backward walk, and each layer's own ``rows`` formula,
-so no (batch, n_params) matrix is built.  ``clip_per_sample`` and
-``privatize_batch_gradient`` apply the same rule to the per-sample matrix
-that ``Network.backward`` builds from the same pairs, and are kept as the
-reference the step is tested against.
+log) through one ``TrainingDriver``, only build their forward passes and
+both return the driver's ``TrainedModel`` record; the CLI and the benchmark
+sweep build ``PrivacyParams`` with ``build_privacy``.  Private updates come
+from ``dp_sgd_step``, which clips from ghost norms (``ghost_clip``): each
+sample's gradient norm and the clipped sum come from the ``GradPair``s of
+``Network.backward_pairs``, the network's one backward walk, and each
+layer's own ``rows`` formula, so no (batch, n_params) matrix is built.
+``clip_per_sample`` and ``privatize_batch_gradient`` apply the same rule to
+the per-sample matrix that ``Network.backward`` builds from the same pairs,
+and are kept as the reference the step is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .accountant import (RdpLedger, accumulate_step, count_step, fresh_ledger,
                          to_epsilon_delta)
-from .errors import PrivacyError, check_number_fields
+from .errors import ConfigError, PrivacyError, check_number_fields
 from .nn import AdamState, Network, adam_step
+
+if TYPE_CHECKING:
+    from .diffusion import DiffusionConfig
+    from .encoding import ColumnSpan, EncodedMatrix
+    from .gan import GanConfig
+    from .schema import TableSchema
 
 # Defaults of the CLI, the benchmark sweep and both model configs.
 DEFAULT_DELTA = 1e-5
@@ -195,6 +202,31 @@ def budget_exhausted(ledger: RdpLedger, params: PrivacyParams) -> bool:
     return to_epsilon_delta(hypothetical, params.delta) > params.epsilon_target
 
 
+@dataclass
+class TrainedModel:
+    """One trained model of any kind, as a trainer returns it and a bundle
+    stores it.  ``generator`` is the network that samples; ``critic`` and
+    ``adam_critic`` are None except for the DP-WGAN."""
+
+    kind: str
+    schema: TableSchema
+    spans: tuple[ColumnSpan, ...]
+    config: DiffusionConfig | GanConfig
+    seed: int
+    generator: Network
+    adam: AdamState
+    ledger: RdpLedger
+    epsilon_spent: float | None
+    log: list[dict] = field(default_factory=list)
+    halted_on_budget: bool = False
+    critic: Network | None = None
+    adam_critic: AdamState | None = None
+
+    @property
+    def delta(self) -> float | None:
+        return self.config.privacy.delta if self.config.privacy else None
+
+
 class TrainingDriver:
     """The batch loop both trainers share, around the network ``net``.
 
@@ -202,6 +234,7 @@ class TrainingDriver:
     the batch and ``apply`` makes one Adam step of ``net`` from them: in a
     private run through ``dp_sgd_step`` and a ledger charge, otherwise from
     the batch gradients, each backpropagated when its pass is added.
+    ``trained`` ends the run with its record.
     """
 
     def __init__(self, net: Network, lr: float, privacy: PrivacyParams | None,
@@ -253,3 +286,17 @@ class TrainingDriver:
     def record(self, epoch: int, kind: str, loss: float) -> None:
         self.log.append({"epoch": epoch, "batch": self.batch, "kind": kind,
                          "loss": loss, "epsilon": self.epsilon})
+
+    def trained(self, kind: str, matrix: EncodedMatrix, config, seed: int, generator: Network,
+                adam: AdamState, critic: Network | None = None) -> TrainedModel:
+        """The run's record; the driver's network is the critic when one is
+        given, else ``generator``.  A parameter or Adam moment that is not
+        finite is a ConfigError, so a diverged run saves nothing."""
+        adam_critic = self.adam if critic is not None else None
+        for name, net, state in (("generator", generator, adam), ("critic", critic, adam_critic)):
+            if net is not None and not all(np.isfinite(a).all()
+                                           for a in (net.params, state.m, state.v)):
+                raise ConfigError(f"training diverged: the {name} holds non-finite parameters "
+                                  "or Adam moments; lower the learning rate (lr)")
+        return TrainedModel(kind, matrix.schema, matrix.spans, config, seed, generator, adam,
+                            self.ledger, self.epsilon, self.log, self.halted, critic, adam_critic)

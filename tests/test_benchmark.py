@@ -55,6 +55,8 @@ def test_plan_validation(tmp_path):
         small_plan(path, repeats=0, seeds=())
     with pytest.raises(ConfigError):
         small_plan(path, repeats=2, seeds=(0,))
+    with pytest.raises(ConfigError, match="seeds"):
+        small_plan(path, repeats=2, seeds=(0, -1))
     with pytest.raises(ConfigError):
         small_plan(path, models=())
     with pytest.raises(ConfigError):

@@ -168,6 +168,27 @@ def test_a_non_finite_flag_exits_1_and_writes_no_bundle(tmp_path, data_csv, caps
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that diverges
+@pytest.mark.parametrize("model", ["tablediffusion", "dpwgan"])
+def test_a_diverged_run_exits_1_naming_the_lr_and_writes_nothing(tmp_path, data_csv, capsys,
+                                                                 model):
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", str(data_csv), "--model", model, "--lr", "1e300",
+                 "--out", str(out), *FAST]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged") and "(lr)" in err
+    assert not out.exists()
+    assert not (tmp_path / "m.json.log.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["train", "--model", "tablediffusion", "--seed", "-2"],
+                                  ["sample", "--rows", "5", "--seed", "-1"]])
+def test_a_negative_seed_exits_1_before_any_file_is_read(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing")  # reading it would exit 2
+    assert main([*argv, "--data" if argv[0] == "train" else "--model", missing]) == 1
+    assert "'seed' must be >= 0" in capsys.readouterr().err
+
+
 def test_a_non_finite_config_value_exits_1_naming_the_key(tmp_path, data_csv, capsys):
     cfg = tmp_path / "nan.json"
     cfg.write_text('{"sigma": NaN}')
@@ -315,6 +336,15 @@ def test_project_writes_grid_and_basis(tmp_path, data_csv, capsys):
     assert basis["bins"] == 8
     assert len(basis["components"]) == 2
     assert "wrote projection grid" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_project_rejects_fewer_than_one_bin(tmp_path, data_csv, capsys, bins):
+    out = tmp_path / "proj.csv"
+    assert main(["project", "--real", str(data_csv), "--synth", str(data_csv),
+                 "--bins", bins, "--out", str(out)]) == 1
+    assert f"bins must be >= 1, got {bins}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_benchmark_command(tmp_path, data_csv, capsys):

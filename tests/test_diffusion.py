@@ -149,10 +149,10 @@ def test_training_is_reproducible():
     config = DiffusionConfig(steps=2, batch_target=512, epochs=3, width=8, blocks=1)
     a = train_diffusion(matrix, config, seed=7)
     b = train_diffusion(matrix, config, seed=7)
-    np.testing.assert_array_equal(a.network.params, b.network.params)
+    np.testing.assert_array_equal(a.generator.params, b.generator.params)
     assert a.log == b.log
     c = train_diffusion(matrix, config, seed=8)
-    assert not np.array_equal(a.network.params, c.network.params)
+    assert not np.array_equal(a.generator.params, c.generator.params)
 
 
 def test_privatized_training_halts_within_budget():
@@ -223,5 +223,5 @@ def test_noise_predictor_reverse_rule():
     rng = np.random.default_rng(11)
     out = sample_diffusion(model, 5, rng)
     x = np.random.default_rng(11).standard_normal((5, SCHEMA.encoded_width))
-    y, _ = model.network.forward(x, mode="eval")
+    y, _ = model.generator.forward(x, mode="eval")
     np.testing.assert_allclose(out, x - y * math.sqrt(1.0), rtol=1e-12)

@@ -54,7 +54,7 @@ def test_training_cadence_and_log_shape():
     assert kinds == (["critic"] * 5 + ["generator"]) * 2
     assert model.ledger.steps_taken == 10  # generator updates are never counted
     assert model.adam_critic.t == 10
-    assert model.adam_generator.t == 2
+    assert model.adam.t == 2
     assert model.kind == DPWGAN
     assert model.epsilon_spent is None
     assert all(entry["epsilon"] is None for entry in model.log)

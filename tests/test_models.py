@@ -133,7 +133,7 @@ def test_diffusion_round_trip_is_exact(tmp_path):
     save_bundle(model, path)
 
     loaded = load_bundle(path)
-    np.testing.assert_array_equal(loaded.network.params, model.network.params)
+    np.testing.assert_array_equal(loaded.generator.params, model.generator.params)
     assert loaded.schema == model.schema
     assert loaded.spans == model.spans
     assert loaded.config == model.config
@@ -292,7 +292,7 @@ def as_v1(payload):
 
 def test_adam_state_round_trips_exactly(tmp_path):
     diffusion, gan = diffusion_model(), gan_model()
-    for model, attr in [(diffusion, "adam"), (gan, "adam_generator"), (gan, "adam_critic")]:
+    for model, attr in [(diffusion, "adam"), (gan, "adam"), (gan, "adam_critic")]:
         state = getattr(model, attr)
         assert state.t > 0 and np.any(state.m != 0) and np.any(state.v != 0)
         path = tmp_path / f"{attr}.json"
@@ -318,6 +318,16 @@ def test_bundle_keys_are_sorted_and_arrays_are_base64(tmp_path):
     assert isinstance(payload["ledger"]["steps"], int)
     np.testing.assert_array_equal(_floats(payload["critic"]["parameters"]),
                                   model.critic.params)
+
+
+def test_bundle_layout_of_each_model_kind():
+    shared = {"format_version", "kind", "schema", "spans", "config", "ledger",
+              "epsilon_spent", "delta", "seed", "layer_specs", "parameters", "adam"}
+    assert set(bundle_dict(diffusion_model())) == shared
+    payload = bundle_dict(gan_model())
+    assert set(payload) == shared | {"critic"}
+    assert set(payload["critic"]) == {"layer_specs", "parameters", "adam"}
+    assert set(payload["adam"]) == set(payload["critic"]["adam"]) == {"m", "v", "t"}
 
 
 def test_v1_bundles_still_load():
