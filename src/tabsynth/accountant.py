@@ -9,10 +9,11 @@ additively across steps; the ledger converts the running totals to an
     eps = min_alpha [ rdp(alpha) + log(1/delta) / (alpha - 1) ].
 
 The per-step bound follows the standard moment computation: at q = 1 the
-Gaussian mechanism gives alpha / (2 sigma^2) exactly; for q < 1 the
-binomial expansion of E[((1-q) + q e^{(2x-1)/(2 sigma^2)})^alpha] is
-summed in log space, with fractional alpha handled by the equivalent
-split into two erfc-weighted series.
+Gaussian mechanism gives alpha / (2 sigma^2) exactly; for q < 1 the moment
+E[((1-q) + q e^{(2x-1)/(2 sigma^2)})^alpha] is split into two
+erfc-weighted binomial series (Mironov, Talwar & Zhang, arXiv:1908.10530),
+summed in log space.  One series serves every order: at integer alpha it
+ends after alpha + 1 terms and equals the plain binomial sum.
 """
 
 from __future__ import annotations
@@ -70,33 +71,16 @@ def _log_erfc(x: float) -> float:
     )
 
 
-def _log_a_int(q: float, sigma: float, alpha: int) -> float:
-    """Log of the moment sum at integer alpha.
-
-    A(alpha) = sum_{i=0}^{alpha} C(alpha, i) (1-q)^{alpha-i} q^i
-               exp((i^2 - i) / (2 sigma^2))
-    """
-    total = -math.inf
-    log_q, log_1mq = math.log(q), math.log1p(-q)
-    for i in range(alpha + 1):
-        term = (
-            math.lgamma(alpha + 1) - math.lgamma(i + 1) - math.lgamma(alpha - i + 1)
-            + i * log_q
-            + (alpha - i) * log_1mq
-            + (i * i - i) / (2.0 * sigma * sigma)
-        )
-        total = _log_add(total, term)
-    return total
-
-
-def _log_a_frac(q: float, sigma: float, alpha: float) -> float:
-    """Log of the moment sum at fractional alpha.
+def _log_a(q: float, sigma: float, alpha: float) -> float:
+    """Log of the moment A(alpha), for any order alpha > 1.
 
     The integral defining A(alpha) is split at z0 = sigma^2 log(1/q - 1) + 1/2,
     where the mixture density crosses over; each half expands into an
     erfc-weighted binomial series.  Generalized binomial coefficients are
     built up incrementally and can change sign, so positive and negative
-    contributions are folded in log space.
+    contributions are folded in log space.  At integer alpha the
+    coefficients stay positive, the series stops at i = alpha, and the two
+    halves add up to the plain binomial sum since erfc(x) + erfc(-x) = 2.
     """
     log_a0 = log_a1 = -math.inf
     z0 = sigma * sigma * math.log(1.0 / q - 1.0) + 0.5
@@ -143,11 +127,7 @@ def rdp_subsampled_gaussian(q: float, sigma: float, alpha: float) -> float:
         raise PrivacyError(f"Renyi order must exceed 1, got {alpha}")
     if q == 1.0:
         return alpha / (2.0 * sigma * sigma)
-    if float(alpha).is_integer():
-        log_a = _log_a_int(q, sigma, int(alpha))
-    else:
-        log_a = _log_a_frac(q, sigma, alpha)
-    return log_a / (alpha - 1.0)
+    return _log_a(q, sigma, alpha) / (alpha - 1.0)
 
 
 @lru_cache(maxsize=256)

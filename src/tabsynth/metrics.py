@@ -192,54 +192,29 @@ def ks_distance(real_col: Sequence[float], synth_col: Sequence[float]) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def _log_gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by series, x < a + 1."""
-    term = 1.0 / a
-    total = term
-    k = a
-    for _ in range(500):
-        k += 1.0
-        term *= x / k
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _gamma_q_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction, x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
 def gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a,x)/Gamma(a)."""
-    if a <= 0.0:
-        raise ValueError("gamma_q: a must be positive")
+    """Regularized upper incomplete gamma Q(a, x) = Gamma(a,x)/Gamma(a), for
+    ``a`` a positive multiple of 1/2: the chi-squared tail at a = dof/2.
+
+    Starts from the closed form Q(1/2, x) = erfc(sqrt x) or Q(1, x) = e^-x
+    and climbs by Q(b+1, x) = Q(b, x) + x^b e^-x / Gamma(b+1), each term
+    taken in log space so that neither e^-x nor x^b leaves the float range.
+    """
+    if not (a > 0.0 and (2.0 * a).is_integer()):
+        raise ValueError(f"gamma_q: a must be a positive multiple of 1/2, got {a!r}")
     if x < 0.0:
         raise ValueError("gamma_q: x must be non-negative")
     if x == 0.0:
         return 1.0
-    if x < a + 1.0:
-        return 1.0 - _log_gamma_series(a, x)
-    return _gamma_q_cf(a, x)
+    if float(a).is_integer():
+        b, q = 1.0, math.exp(-x)
+    else:
+        b, q = 0.5, math.erfc(math.sqrt(x))
+    log_x = math.log(x)
+    while b < a:
+        q += math.exp(b * log_x - x - math.lgamma(b + 1.0))
+        b += 1.0
+    return min(q, 1.0)  # rounding can carry the sum a few ulps past 1
 
 
 def _chi2_stat(real_counts: np.ndarray, synth_counts: np.ndarray):

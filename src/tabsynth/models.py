@@ -9,7 +9,9 @@ Bundles are sorted-key JSON. From format version 2 the float arrays
 little-endian float64 bytes, so a load restores every value bit for bit and
 save -> load -> sample reproduces the exact bytes that sampling before the
 save would have produced. Version 1 bundles, which hold those arrays as JSON
-number lists, still load.
+number lists, still load. A load lays the column spans out from the stored
+schema and rejects a bundle whose stored spans, or diffusion ``variant``,
+disagree with its schema and ``kind``.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ import numpy as np
 from .accountant import RdpLedger, to_epsilon_delta
 from .diffusion import (DENOISER, NOISE_PREDICTOR, DiffusionConfig, sample_diffusion,
                         train_diffusion)
-from .encoding import ColumnSpan, EncodedMatrix, decode
+from .encoding import EncodedMatrix, column_spans, decode
 from .errors import BundleError, ConfigError
 from .gan import DPWGAN, GanConfig, sample_gan, train_dpwgan
 from .nn import AdamState, Network
 from .privacy import PrivacyParams, TrainedModel
-from .schema import ColumnKind, RawTable, TableSchema
+from .schema import RawTable, TableSchema
 
 FORMAT_VERSION = 2
 MODEL_KINDS = (NOISE_PREDICTOR, DENOISER, DPWGAN)
@@ -82,13 +84,6 @@ def _spans_to_json(spans) -> list[dict]:
         {"column": s.column, "kind": s.kind.value, "start": s.start, "width": s.width}
         for s in spans
     ]
-
-
-def _spans_from_json(payload) -> tuple[ColumnSpan, ...]:
-    return tuple(
-        ColumnSpan(s["column"], ColumnKind(s["kind"]), int(s["start"]), int(s["width"]))
-        for s in payload
-    )
 
 
 def _array_to_json(array: np.ndarray) -> str:
@@ -144,7 +139,9 @@ def _adam_from_json(payload, version: int, n_params: int, where: str) -> AdamSta
 def _config_from_json(kind: str, payload: dict):
     payload = dict(payload)
     privacy = payload.pop("privacy", None)
-    payload.pop("variant", None)
+    variant = payload.pop("variant", None)
+    if variant != (None if kind == DPWGAN else kind):
+        raise BundleError(f"stored config variant {variant!r} does not match kind {kind!r}")
     return make_config(kind, privacy=None if privacy is None else PrivacyParams(**privacy),
                        **payload)
 
@@ -209,7 +206,9 @@ def model_from_dict(payload: dict) -> TrainedModel:
         if kind not in MODEL_KINDS:
             raise BundleError(f"unknown model kind {kind!r}")
         schema = TableSchema.from_json_dict(payload["schema"])
-        spans = _spans_from_json(payload["spans"])
+        spans = column_spans(schema)
+        if payload["spans"] != _spans_to_json(spans):
+            raise BundleError("stored spans do not match the column layout of the schema")
         config = _config_from_json(kind, payload["config"])
         ledger = RdpLedger.from_state(payload["ledger"])
         epsilon_spent = _checked_epsilon(payload, config.privacy, ledger)

@@ -284,6 +284,10 @@ class TrainingDriver:
         self.batch += 1
 
     def record(self, epoch: int, kind: str, loss: float) -> None:
+        """Log one row; a loss that is not finite stops a diverged run here."""
+        if not math.isfinite(loss):
+            raise ConfigError(f"training diverged: the {kind} loss is {loss} at epoch {epoch}, "
+                              f"batch {self.batch}; lower the learning rate (lr)")
         self.log.append({"epoch": epoch, "batch": self.batch, "kind": kind,
                          "loss": loss, "epsilon": self.epsilon})
 

@@ -1,6 +1,7 @@
 """RDP accountant checks against independently computed moment values."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -39,6 +40,26 @@ MOMENT_ORACLE = [
 def test_per_step_bound_matches_quadrature(q, sigma, alpha, expected):
     got = rdp_subsampled_gaussian(q, sigma, alpha)
     assert got == pytest.approx(expected, rel=1e-5)
+
+
+def _binomial_moment(q, sigma, alpha):
+    """The per-step bound from the integer-order binomial sum
+    A = sum_i C(alpha, i) (1-q)^(alpha-i) q^i exp((i^2 - i) / (2 sigma^2)),
+    in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q, two_var = Decimal(q), 2 * Decimal(sigma) ** 2
+        total = sum(math.comb(alpha, i) * (1 - q) ** (alpha - i) * q ** i
+                    * (Decimal(i * i - i) / two_var).exp() for i in range(alpha + 1))
+        return float(total.ln() / (alpha - 1))
+
+
+@pytest.mark.parametrize("q,sigma", [(0.0128, 1.5), (0.001, 10.0), (0.1, 0.8), (0.5, 1.0)])
+def test_integer_orders_match_a_high_precision_binomial_sum(q, sigma):
+    for alpha in (2, 3, 16, 64, 128, 512):
+        expected = _binomial_moment(q, sigma, alpha)
+        assert rdp_subsampled_gaussian(q, sigma, float(alpha)) == pytest.approx(expected,
+                                                                                 rel=1e-9)
 
 
 def test_full_batch_closed_form():

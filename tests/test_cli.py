@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tabsynth.cli import LOG_COLUMNS, main
+from tabsynth.privacy import TrainingDriver
 from tabsynth.schema import infer_schema, load_table
 
 FAST = ["--epochs", "2", "--batch", "512"]
@@ -177,6 +178,26 @@ def test_a_diverged_run_exits_1_naming_the_lr_and_writes_nothing(tmp_path, data_
                  "--out", str(out), *FAST]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: training diverged") and "(lr)" in err
+    assert not out.exists()
+    assert not (tmp_path / "m.json.log.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that diverges
+@pytest.mark.parametrize("model", ["tablediffusion", "dpwgan"])
+def test_a_diverged_run_stops_at_its_first_non_finite_loss(tmp_path, data_csv, capsys,
+                                                           monkeypatch, model):
+    rows = []
+    record = TrainingDriver.record
+    monkeypatch.setattr(TrainingDriver, "record",
+                        lambda self, *row: (rows.append(row), record(self, *row)))
+    out = tmp_path / "m.json"
+    # 40 epochs log 40 diffusion rows or 240 DP-WGAN rows; the first update
+    # at lr 1e300 makes the next loss non-finite.
+    assert main(["train", "--data", str(data_csv), "--model", model, "--lr", "1e300",
+                 "--epochs", "40", "--batch", "512", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged") and "loss is" in err and "(lr)" in err
+    assert len(rows) <= 8 and rows[-1][0] == 1  # stopped in the second epoch
     assert not out.exists()
     assert not (tmp_path / "m.json.log.csv").exists()
 
@@ -377,3 +398,32 @@ def test_schema_flag_is_honored(tmp_path, data_csv):
     payload = json.loads(bundle.read_text())
     names = [c["name"] for c in payload["schema"]["columns"]]
     assert names == ["c", "x", "y"]
+
+
+def _shift_spans(payload):
+    for span in payload["spans"]:
+        span["start"] -= 1
+
+
+def _drop_spans(payload):
+    del payload["spans"][1:]
+
+
+def _swap_variant(payload):
+    payload["config"]["variant"] = "tablediffusion"
+
+
+@pytest.mark.parametrize("edit", [_shift_spans, _drop_spans, _swap_variant],
+                         ids=["spans-shifted", "spans-dropped", "variant-not-kind"])
+def test_sample_rejects_a_bundle_whose_layout_disagrees_with_its_schema_or_kind(
+        tmp_path, data_csv, capsys, edit):
+    bundle = tmp_path / "model.json"
+    assert main(["train", "--data", str(data_csv), "--model", "tablediffusion-denoiser",
+                 "--out", str(bundle), *FAST]) == 0
+    payload = json.loads(bundle.read_text())
+    edit(payload)
+    bundle.write_text(json.dumps(payload))
+    out = tmp_path / "synth.csv"
+    assert main(["sample", "--model", str(bundle), "--rows", "5", "--out", str(out)]) == 2
+    assert "not match" in capsys.readouterr().err
+    assert not out.exists()

@@ -230,6 +230,16 @@ def test_gamma_q_matches_scipy():
         gamma_q(1.0, -1.0)
 
 
+def test_gamma_q_matches_scipy_at_every_half_integer():
+    xs = np.concatenate([[1e-12, 1e-6], np.geomspace(1e-3, 1e4, 61)])
+    for a in np.arange(0.5, 200.5, 0.5):
+        got = [gamma_q(float(a), float(x)) for x in xs]
+        np.testing.assert_allclose(got, scipy.special.gammaincc(a, xs), rtol=0.0, atol=1e-12)
+    for a in (0.3, 1.25):
+        with pytest.raises(ValueError):
+            gamma_q(a, 1.0)
+
+
 def test_chi2_hand_value():
     chi2, dof, dropped = _chi2_stat([5, 5], [10, 0])
     assert (chi2, dof, dropped) == (10.0, 1, 0)

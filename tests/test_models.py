@@ -381,3 +381,21 @@ def test_load_rejects_corrupt_v1_arrays():
     for payload in bad:
         with pytest.raises(BundleError):
             model_from_dict(payload)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: [span.update(start=span["start"] - 1) for span in p["spans"]],
+    lambda p: p["spans"].pop(),
+    lambda p: p["config"].update(variant=NOISE_PREDICTOR),
+], ids=["spans-shifted", "spans-dropped", "variant-not-kind"])
+def test_load_rejects_spans_or_variant_that_disagree_with_schema_and_kind(tmp_path, edit):
+    config = DiffusionConfig(variant=DENOISER, steps=2, batch_target=512, epochs=1, width=8,
+                             blocks=1)
+    payload = json.loads(json.dumps(bundle_dict(train_model(tiny_matrix(), config, 0))))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    load_bundle(path)  # the untouched bundle loads
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(BundleError, match="not match"):
+        load_bundle(path)
