@@ -2,7 +2,7 @@
 
 A JSON plan file declares the grid; every cell trains one model, samples as
 many rows as the real table holds, and scores the output with the fidelity
-suite.  Cells run in a thread pool (``TABSYNTH_THREADS`` caps the width);
+suite.  Cells run one by one unless ``TABSYNTH_THREADS`` sets a thread pool;
 failed cells are recorded and the sweep keeps going.  Aggregates are plain
 means/stds over the per-seed reports, so they can always be recomputed from
 the report files on disk.
@@ -134,8 +134,7 @@ def worker_count(n_cells: int) -> int:
     limit = os.environ.get("TABSYNTH_THREADS")
     if limit and not (limit.isdecimal() and int(limit) >= 1):
         raise ConfigError(f"TABSYNTH_THREADS must be an integer >= 1, got {limit!r}")
-    cap = int(limit) if limit else (os.cpu_count() or 1)
-    return max(1, min(n_cells, cap))
+    return max(1, min(n_cells, int(limit))) if limit else 1
 
 
 def _eps_label(epsilon) -> str:

@@ -98,7 +98,7 @@ def decode(values: np.ndarray, schema: TableSchema) -> RawTable:
         block = values[:, span.start : span.stop]
         if col.kind is ColumnKind.CATEGORICAL:
             picks = np.argmax(block, axis=1)
-            columns.append([col.vocabulary[int(i)] for i in picks])
+            columns.append([col.vocabulary[i] for i in picks.tolist()])
         else:
             span_width = col.maximum - col.minimum
             if span_width == 0.0:
@@ -109,6 +109,5 @@ def decode(values: np.ndarray, schema: TableSchema) -> RawTable:
             np.clip(raw, col.minimum, col.maximum, out=raw)
             if col.integer_valued:
                 raw = np.rint(raw)
-            columns.append([float(v) for v in raw])
-    rows = [tuple(column[i] for column in columns) for i in range(n)]
-    return RawTable(schema, rows)
+            columns.append(raw.tolist())
+    return RawTable(schema, list(zip(*columns)))

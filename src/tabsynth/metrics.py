@@ -263,7 +263,7 @@ def marginal_distance(real: RawTable, synth: RawTable):
 
     Returns (overall, per_feature, dropped_categories).
     """
-    if not real.schema.compatible_with(synth.schema):
+    if real.schema != synth.schema:
         raise SchemaError("marginal_distance: schema mismatch")
     width = len(real.schema.columns)
     real_cols = list(zip(*real.rows)) or [()] * width
@@ -434,7 +434,7 @@ class FidelityReport:
 def evaluate(real: RawTable, synth: RawTable, grid_step: float = DEFAULT_GRID_STEP,
              ridge: float = DEFAULT_RIDGE, metadata: dict | None = None) -> FidelityReport:
     """Full fidelity report; both tables are encoded with the real schema."""
-    if not real.schema.compatible_with(synth.schema):
+    if real.schema != synth.schema:
         raise SchemaError("evaluate: schema mismatch")
     mr = encode(real)
     ms = encode(RawTable(real.schema, synth.rows))

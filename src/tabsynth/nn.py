@@ -2,18 +2,20 @@
 
 Everything here exists so that DP-SGD can clip gradients per sample, and
 no layer ever mixes information across samples (normalization is per
-sample, per group).  The one backward walk, ``backward_pairs``, returns
-for every Dense and GroupNorm layer a ``GradPair``: the layer input and
-output gradient that its per-sample parameter gradients are built from.
-``GradPair.write`` turns pairs into the batch-mean gradient or the
-(batch, n_params) per-sample matrix, the reference the ghost norms of
-``privacy.ghost_clip`` are tested against.  Determinism matters more
-than speed: given the same seed, forward, backward and initialization
-are bit-reproducible.
+sample, per group).  ``Sequential`` is the one forward and backward walk
+over a layer list, run by ``Network`` and by each ``ResidualConcatBlock``.
+Its ``backward_pairs`` returns for every Dense and GroupNorm layer a
+``GradPair``: the layer input and output gradient that its per-sample
+parameter gradients are built from.  ``Layer.backward`` turns pairs into
+the batch-mean gradient or the (batch, n_params) per-sample matrix, the
+reference the ghost norms of ``privacy.ghost_clip`` are tested against.
+Determinism matters more than speed: given the same seed, forward,
+backward and initialization are bit-reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -264,6 +266,32 @@ class GroupNorm(Layer):
         return {"type": "group_norm", "channels": self.channels, "groups": self.groups}
 
 
+class Sequential(Layer):
+    """A layer list over consecutive parameter slices; never serialized."""
+
+    def __init__(self, layers: list[Layer]):
+        self.layers = layers
+        ends = list(itertools.accumulate((layer.n_params for layer in layers), initial=0))
+        self.slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        self.n_params = ends[-1]
+
+    def init_params(self, rng):
+        parts = [layer.init_params(rng) for layer in self.layers]
+        return np.concatenate(parts) if parts else np.empty(0)
+
+    def forward(self, p, x, mode, rng):
+        caches = []
+        for layer, sl in zip(self.layers, self.slices):
+            x, cache = layer.forward(p[sl], x, mode, rng)
+            caches.append(cache)
+        return x, caches
+
+    def backward_pairs(self, p, cache, gy, start, pairs):
+        for layer, sl, c in zip(reversed(self.layers), reversed(self.slices), reversed(cache)):
+            gy = layer.backward_pairs(p[sl], c, gy, start + sl.start, pairs)
+        return gy
+
+
 class ResidualConcatBlock(Layer):
     """Dense -> GroupNorm -> ReLU, output concatenated with the input.
 
@@ -274,35 +302,19 @@ class ResidualConcatBlock(Layer):
         self.in_dim = in_dim
         self.width = width
         self.out_dim = in_dim + width
-        self.inner = [Dense(in_dim, width), GroupNorm(width), Relu()]
-        self.n_params = sum(l.n_params for l in self.inner)
-
-    def _slices(self):
-        offsets = []
-        start = 0
-        for layer in self.inner:
-            offsets.append(slice(start, start + layer.n_params))
-            start += layer.n_params
-        return offsets
+        self.inner = Sequential([Dense(in_dim, width), GroupNorm(width), Relu()])
+        self.n_params = self.inner.n_params
 
     def init_params(self, rng):
-        return np.concatenate([l.init_params(rng) for l in self.inner])
+        return self.inner.init_params(rng)
 
     def forward(self, p, x, mode, rng):
-        h = x
-        caches = []
-        for layer, sl in zip(self.inner, self._slices()):
-            h, cache = layer.forward(p[sl], h, mode, rng)
-            caches.append(cache)
+        h, caches = self.inner.forward(p, x, mode, rng)
         return np.concatenate([x, h], axis=1), caches
 
     def backward_pairs(self, p, cache, gy, start, pairs):
-        gh = gy[:, self.in_dim :]
-        for layer, sl, layer_cache in zip(
-            reversed(self.inner), reversed(self._slices()), reversed(cache)
-        ):
-            gh = layer.backward_pairs(p[sl], layer_cache, gh, start + sl.start, pairs)
-        return gy[:, : self.in_dim] + gh
+        return gy[:, : self.in_dim] + self.inner.backward_pairs(
+            p, cache, gy[:, self.in_dim :], start, pairs)
 
     def to_spec(self):
         return {"type": "residual_concat", "in": self.in_dim, "width": self.width}
@@ -331,23 +343,20 @@ class Network:
 
     def __init__(self, layers: list[Layer], rng: np.random.Generator | None = None,
                  params: np.ndarray | None = None):
-        self.layers = layers
-        self.slices: list[slice] = []
-        start = 0
-        for layer in layers:
-            self.slices.append(slice(start, start + layer.n_params))
-            start += layer.n_params
+        self.stack = Sequential(layers)
         if params is not None:
             params = np.asarray(params, dtype=np.float64)
-            if params.shape != (start,):
-                raise ValueError(f"expected {start} parameters, got {params.shape}")
+            if params.shape != (self.stack.n_params,):
+                raise ValueError(f"expected {self.stack.n_params} parameters, got {params.shape}")
             self.params = params.copy()
         elif rng is not None:
-            self.params = np.concatenate(
-                [layer.init_params(rng) for layer in layers]
-            ) if start else np.empty(0)
+            self.params = self.stack.init_params(rng)
         else:
             raise ValueError("need either an rng or an explicit parameter vector")
+
+    @property
+    def layers(self) -> list[Layer]:
+        return self.stack.layers
 
     @property
     def n_params(self) -> int:
@@ -355,12 +364,7 @@ class Network:
 
     def forward(self, x: np.ndarray, mode: str = "train", rng=None):
         """Run the stack; returns (output, caches) for a later backward."""
-        h = np.asarray(x, dtype=np.float64)
-        caches = []
-        for layer, sl in zip(self.layers, self.slices):
-            h, cache = layer.forward(self.params[sl], h, mode, rng)
-            caches.append(cache)
-        return h, caches
+        return self.stack.forward(self.params, np.asarray(x, dtype=np.float64), mode, rng)
 
     def backward(self, caches, loss_grads: np.ndarray, per_sample: bool = True):
         """Backpropagate per-sample loss gradients.
@@ -370,10 +374,9 @@ class Network:
         in per-sample mode — row i is the gradient of sample i's own loss
         — or the (n_params,) batch-mean gradient otherwise.
         """
-        pairs, gx = self.backward_pairs(caches, loss_grads)
-        grads = np.zeros((gx.shape[0], self.n_params) if per_sample else self.n_params)
-        for pair in pairs:
-            pair.write(grads, per_sample)
+        gy = np.asarray(loss_grads, dtype=np.float64)
+        grads = np.zeros((gy.shape[0], self.n_params) if per_sample else self.n_params)
+        gx = self.stack.backward(self.params, caches, gy, grads, per_sample)
         return grads, gx
 
     def backward_pairs(self, caches, loss_grads: np.ndarray):
@@ -385,11 +388,7 @@ class Network:
         """
         pairs: list[GradPair] = []
         gy = np.asarray(loss_grads, dtype=np.float64)
-        for layer, sl, cache in zip(
-            reversed(self.layers), reversed(self.slices), reversed(caches)
-        ):
-            gy = layer.backward_pairs(self.params[sl], cache, gy, sl.start, pairs)
-        return pairs, gy
+        return pairs, self.stack.backward_pairs(self.params, caches, gy, 0, pairs)
 
     def layer_specs(self) -> list[dict]:
         return [layer.to_spec() for layer in self.layers]

@@ -29,6 +29,11 @@ class ColumnKind(str, Enum):
     CONTINUOUS = "continuous"
 
 
+def _unreadable(text: str) -> bool:
+    # The "\n"-terminated writer leaves "\r" unquoted; Python 3.10's reader refuses NUL.
+    return "\r" in text or "\0" in text
+
+
 @dataclass(frozen=True)
 class ColumnSchema:
     """Description of a single column, frozen at fit time."""
@@ -41,9 +46,13 @@ class ColumnSchema:
     integer_valued: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name or _unreadable(self.name):
+            raise SchemaError(f"column name {self.name!r} must be a non-empty string without \\r or NUL")
         if self.kind is ColumnKind.CATEGORICAL:
             if not self.vocabulary:
                 raise SchemaError(f"categorical column {self.name!r} needs a non-empty vocabulary")
+            if any(map(_unreadable, self.vocabulary)):
+                raise SchemaError(f"a label of column {self.name!r} holds a carriage return or NUL")
             if len(set(self.vocabulary)) != len(self.vocabulary):
                 raise SchemaError(f"duplicate labels in vocabulary of column {self.name!r}")
             if self.minimum is not None or self.maximum is not None:
@@ -57,6 +66,8 @@ class ColumnSchema:
                 raise SchemaError(f"non-finite range on column {self.name!r}")
             if self.minimum > self.maximum:
                 raise SchemaError(f"min > max on column {self.name!r}")
+            if not math.isfinite(self.maximum - self.minimum):
+                raise SchemaError(f"range of column {self.name!r} is wider than the largest float")
 
     @property
     def width(self) -> int:
@@ -84,16 +95,6 @@ class TableSchema:
     @property
     def encoded_width(self) -> int:
         return sum(c.width for c in self.columns)
-
-    def column(self, name: str) -> ColumnSchema:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise SchemaError(f"unknown column {name!r}")
-
-    def compatible_with(self, other: "TableSchema") -> bool:
-        """Structural equality: same names, kinds, vocabularies and ranges."""
-        return self.columns == other.columns
 
     def to_json_dict(self) -> dict:
         cols = []
