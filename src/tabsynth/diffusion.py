@@ -53,6 +53,10 @@ class DiffusionConfig:
             raise ConfigError("batch size and epochs must be positive")
         if self.lr <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if self.width < 1:
+            raise ConfigError(f"width must be >= 1, got {self.width}")
+        if self.blocks < 0:
+            raise ConfigError(f"blocks must be >= 0, got {self.blocks}")
 
 
 def cosine_beta_schedule(steps: int) -> np.ndarray:

@@ -55,6 +55,12 @@ class EncodedMatrix:
         return self.values.shape[1]
 
 
+def _label_positions(vocabulary: tuple[str, ...], cells) -> np.ndarray:
+    """Position of each cell's label in ``vocabulary``, as int64."""
+    index = {label: i for i, label in enumerate(vocabulary)}
+    return np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
+
+
 def encode(table: RawTable) -> EncodedMatrix:
     """Encode a validated table into a float64 matrix."""
     table.validate()
@@ -64,8 +70,7 @@ def encode(table: RawTable) -> EncodedMatrix:
 
     for col, span, cells in zip(schema.columns, spans, zip(*table.rows)):
         if col.kind is ColumnKind.CATEGORICAL:
-            index = {label: i for i, label in enumerate(col.vocabulary)}
-            hot = np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
+            hot = _label_positions(col.vocabulary, cells)
             out[np.arange(len(cells)), span.start + hot] = 1.0
         else:
             values = np.asarray(cells, dtype=np.float64)

@@ -49,6 +49,10 @@ class GanConfig:
             raise ConfigError(f"latent dim must be positive, got {self.latent_dim}")
         if self.weight_clamp <= 0.0:
             raise ConfigError(f"weight clamp must be positive, got {self.weight_clamp}")
+        if self.width < 1:
+            raise ConfigError(f"width must be >= 1, got {self.width}")
+        if self.blocks < 0:
+            raise ConfigError(f"blocks must be >= 0, got {self.blocks}")
 
 
 def train_dpwgan(matrix: EncodedMatrix, config: GanConfig, seed: int) -> TrainedModel:

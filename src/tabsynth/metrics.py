@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import EncodedMatrix, encode
+from .encoding import EncodedMatrix, _label_positions, encode
 from .errors import ConfigError, DegenerateDataError, SchemaError
 from .schema import ColumnKind, RawTable
 
@@ -252,12 +252,6 @@ def chi2_distance(real_counts, synth_counts) -> float:
     return _chi2_distance_dropped(real_counts, synth_counts)[0]
 
 
-def _label_counts(cells, index: dict) -> np.ndarray:
-    """How often each label of ``index`` (label -> position) occurs in ``cells``."""
-    positions = np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
-    return np.bincount(positions, minlength=len(index))
-
-
 def marginal_distance(real: RawTable, synth: RawTable):
     """Mean per-feature distance (chi2 for categorical, KS for continuous).
 
@@ -272,9 +266,9 @@ def marginal_distance(real: RawTable, synth: RawTable):
     dropped_total = 0
     for col, rv, sv in zip(real.schema.columns, real_cols, synth_cols):
         if col.kind is ColumnKind.CATEGORICAL:
-            index = {tok: i for i, tok in enumerate(col.vocabulary)}
-            dist, dropped = _chi2_distance_dropped(_label_counts(rv, index),
-                                                   _label_counts(sv, index))
+            counts = [np.bincount(_label_positions(col.vocabulary, cells), minlength=col.width)
+                      for cells in (rv, sv)]
+            dist, dropped = _chi2_distance_dropped(*counts)
             dropped_total += dropped
         else:
             dist = ks_distance(rv, sv)

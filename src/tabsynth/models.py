@@ -217,7 +217,8 @@ def model_from_dict(payload: dict) -> TrainedModel:
         critic, adam_critic = (_network_from_json(payload["critic"], version, "critic.")
                                if kind == DPWGAN else (None, None))
         return TrainedModel(kind, schema, spans, config, seed, generator, adam, ledger,
-                            epsilon_spent, critic=critic, adam_critic=adam_critic)
+                            epsilon_spent, halted_on_budget=None, critic=critic,
+                            adam_critic=adam_critic)
     except BundleError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

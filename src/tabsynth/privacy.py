@@ -218,7 +218,7 @@ class TrainedModel:
     ledger: RdpLedger
     epsilon_spent: float | None
     log: list[dict] = field(default_factory=list)
-    halted_on_budget: bool = False
+    halted_on_budget: bool | None = False  # None: loaded from a bundle, which does not store it
     critic: Network | None = None
     adam_critic: AdamState | None = None
 

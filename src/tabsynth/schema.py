@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 from .errors import ParseError, SchemaError
@@ -135,13 +136,16 @@ class TableSchema:
                     hi = float(entry["max"])
                 except (TypeError, KeyError, ValueError) as exc:
                     raise ParseError(f"schema JSON column {name!r} needs numeric min/max") from exc
+                integer_valued = entry.get("integer_valued", False)
+                if not isinstance(integer_valued, bool):
+                    raise ParseError(f"schema JSON column {name!r}: integer_valued must be true or false")
                 cols.append(
                     ColumnSchema(
                         name,
                         kind,
                         minimum=lo,
                         maximum=hi,
-                        integer_valued=bool(entry.get("integer_valued", False)),
+                        integer_valued=integer_valued,
                     )
                 )
         return TableSchema(tuple(cols))
@@ -163,30 +167,14 @@ class RawTable:
         if not self.rows:
             raise SchemaError("table has no rows")
         width = len(self.schema.columns)
-        if all(len(row) == width for row in self.rows) and all(
-                _cells_valid(col, cells) for col, cells in zip(self.schema.columns, zip(*self.rows))):
-            return
-        # Some check failed: scan row by row to report the first bad cell.
-        for r, row in enumerate(self.rows):
-            if len(row) != len(self.schema.columns):
-                raise SchemaError(f"row {r} has {len(row)} cells, expected {len(self.schema.columns)}")
-            for col, cell in zip(self.schema.columns, row):
-                if col.kind is ColumnKind.CATEGORICAL:
-                    if cell not in col.vocabulary:
-                        raise SchemaError(f"row {r}, column {col.name!r}: label {cell!r} not in vocabulary")
-                else:
-                    if not isinstance(cell, float) or not math.isfinite(cell):
-                        raise SchemaError(f"row {r}, column {col.name!r}: non-finite value {cell!r}")
-
-
-def _cells_valid(col: ColumnSchema, cells) -> bool:
-    """True iff every cell of one column is a known label or a finite float."""
-    if col.kind is ColumnKind.CATEGORICAL:
-        try:
-            return set(col.vocabulary).issuperset(cells)
-        except TypeError:  # an unhashable cell is no label
-            return False
-    return all(issubclass(t, float) for t in set(map(type, cells))) and all(map(math.isfinite, cells))
+        short = (None if set(map(len, self.rows)) == {width}
+                 else next(r for r, row in enumerate(self.rows) if len(row) != width))
+        # A bad cell above the first row of the wrong length is reported first.
+        for _ in _checked_columns(self.schema.names, zip(*self.rows[:short]),
+                                  _cell_rules(self.schema, text=False)):
+            pass
+        if short is not None:
+            raise SchemaError(f"row {short} has {len(self.rows[short])} cells, expected {width}")
 
 
 def _parse_csv_text(text: str) -> tuple[list[str], list[list[str]]]:
@@ -243,18 +231,48 @@ def _finite_numbers(cells) -> list[float] | None:
     return numbers if all(map(math.isfinite, numbers)) else None
 
 
-def _leading_numbers(cells) -> list[float]:
-    """Finite values of cells up to (not including) the first non-numeric one."""
-    numbers = _finite_numbers(cells)
-    if numbers is not None:
-        return numbers
-    numbers = []
-    for cell in cells:
-        value = _try_float(cell)
-        if value is None:
-            break
-        numbers.append(value)
-    return numbers
+def _known_labels(vocabulary: tuple[str, ...], cells):
+    try:
+        return cells if set(vocabulary).issuperset(cells) else None
+    except TypeError:  # an unhashable cell is no label
+        return None
+
+
+def _finite_floats(cells):
+    floats = all(issubclass(t, float) for t in set(map(type, cells)))
+    return cells if floats and all(map(math.isfinite, cells)) else None
+
+
+_TEXT_NUMBER = (_finite_numbers, lambda cell: _try_float(cell) is not None, ParseError,
+                "{!r} is not a finite number")
+_TYPED_FLOAT = (_finite_floats, lambda cell: isinstance(cell, float) and math.isfinite(cell),
+                SchemaError, "non-finite value {!r}")
+
+
+def _cell_rules(schema: TableSchema, text: bool) -> list:
+    """Each column's rule for CSV text or typed cells: (bulk check giving the
+    column's values or None, one-cell check, error type, message)."""
+    number = _TEXT_NUMBER if text else _TYPED_FLOAT
+    return [(partial(_known_labels, col.vocabulary), col.vocabulary.__contains__, SchemaError,
+             "label {!r} not in vocabulary") if col.kind is ColumnKind.CATEGORICAL else number
+            for col in schema.columns]
+
+
+def _checked_columns(names, columns, rules):
+    """Yield each column as its rule's bulk check returns it, one at a time,
+    so a caller that only checks never holds every column at once.  A column
+    that fails is walked to its first bad cell; after the last column the
+    error names the smallest (row, column) of those: the row-major first bad cell."""
+    first_bad = None
+    for name, cells, (bulk, good, error, message) in zip(names, columns, rules):
+        values = bulk(cells)
+        if values is None:
+            r, cell = next((r, cell) for r, cell in enumerate(cells) if not good(cell))
+            if first_bad is None or r < first_bad[0]:
+                first_bad = (r, error(f"row {r}, column {name!r}: " + message.format(cell)))
+        yield values
+    if first_bad is not None:
+        raise first_bad[1]
 
 
 def _infer_from_rows(
@@ -273,15 +291,15 @@ def _infer_from_rows(
     columns = []
     for name, cells in zip(header, zip(*body)):
         forced = overrides.get(name)
-        numbers = [] if forced is ColumnKind.CATEGORICAL else _leading_numbers(cells)
-        all_numeric = len(numbers) == len(cells)
-
-        if forced is ColumnKind.CONTINUOUS and not all_numeric:
-            bad = len(numbers)
-            raise ParseError(f"row {bad}, column {name!r}: {cells[bad]!r} is not a finite number")
-
-        numeric = all_numeric and (forced is ColumnKind.CONTINUOUS
-                                   or len(set(numbers)) > max_numeric_categories)
+        numbers = None
+        if forced is not ColumnKind.CATEGORICAL:
+            try:
+                (numbers,) = _checked_columns((name,), (cells,), (_TEXT_NUMBER,))
+            except ParseError:
+                if forced is ColumnKind.CONTINUOUS:
+                    raise
+        numeric = numbers is not None and (forced is ColumnKind.CONTINUOUS
+                                           or len(set(numbers)) > max_numeric_categories)
 
         if numeric:
             columns.append(
@@ -309,30 +327,8 @@ def parse_table(text: str, schema: TableSchema | None = None) -> RawTable:
     if not body:
         raise SchemaError("table has no rows")
 
-    columns = []
-    for col, cells in zip(schema.columns, zip(*body)):
-        if col.kind is ColumnKind.CATEGORICAL:
-            columns.append(cells if _cells_valid(col, cells) else None)
-        else:
-            columns.append(_finite_numbers(cells))
-    if None not in columns:
-        return RawTable(schema, list(zip(*columns)))
-    # Some cell failed its check: scan row by row to report the first one.
-    rows = []
-    for r, raw in enumerate(body):
-        row = []
-        for col, cell in zip(schema.columns, raw):
-            if col.kind is ColumnKind.CATEGORICAL:
-                if cell not in col.vocabulary:
-                    raise SchemaError(f"row {r}, column {col.name!r}: label {cell!r} not in vocabulary")
-                row.append(cell)
-            else:
-                value = _try_float(cell)
-                if value is None:
-                    raise ParseError(f"row {r}, column {col.name!r}: {cell!r} is not a finite number")
-                row.append(value)
-        rows.append(tuple(row))
-    return RawTable(schema, rows)
+    columns = list(_checked_columns(schema.names, zip(*body), _cell_rules(schema, text=True)))
+    return RawTable(schema, list(zip(*columns)))
 
 
 def load_table(path: str | Path, schema: TableSchema | None = None) -> RawTable:

@@ -243,6 +243,33 @@ def test_a_wrongly_typed_model_key_exits_1_naming_the_key(tmp_path, data_csv, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["tablediffusion", "dpwgan"])
+@pytest.mark.parametrize("key, value", [("width", -1), ("width", 0), ("blocks", -1)])
+def test_a_non_positive_network_size_exits_1_naming_the_key(tmp_path, data_csv, capsys,
+                                                            model, key, value):
+    cfg = tmp_path / "size.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "m.json"
+    assert main(["train", "--config", str(cfg), "--data", str(data_csv), "--model", model,
+                 "--epochs", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
+def test_a_schema_with_a_string_integer_flag_exits_2_naming_the_column(tmp_path, data_csv,
+                                                                       capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"columns": [
+        {"name": "c", "kind": "categorical", "vocabulary": ["u", "v"]},
+        {"name": "x", "kind": "continuous", "min": 0, "max": 1, "integer_valued": "false"},
+        {"name": "y", "kind": "continuous", "min": 0, "max": 1}]}))
+    assert main(["train", "--data", str(data_csv), "--schema", str(schema), "--model",
+                 "tablediffusion", "--epochs", "1", "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'x'" in err
+
+
 def test_model_keys_take_the_type_of_their_config_field(tmp_path, data_csv):
     # an integer is a valid float option; both land in the bundle's config
     cfg = tmp_path / "typed.json"

@@ -126,6 +126,22 @@ def test_load_rejects_a_wrongly_typed_config_value():
         model_from_dict(edited)
 
 
+@pytest.mark.parametrize("config_class", [DiffusionConfig, GanConfig])
+@pytest.mark.parametrize("key, value", [("width", -1), ("width", 0), ("blocks", -1)])
+def test_config_classes_reject_a_non_positive_network_size(config_class, key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_class(**{key: value})
+    assert config_class(blocks=0).blocks == 0  # a head-only generator
+
+
+def test_a_loaded_bundle_does_not_know_how_its_run_ended(tmp_path):
+    model = diffusion_model(privacy=PRIVACY)
+    assert model.halted_on_budget is True
+    path = tmp_path / "model.json"
+    save_bundle(model, path)
+    assert load_bundle(path).halted_on_budget is None
+
+
 def test_diffusion_round_trip_is_exact(tmp_path):
     model = diffusion_model()
     before = sample_table(model, 20, seed=123)

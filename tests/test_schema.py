@@ -157,6 +157,20 @@ def test_schema_json_malformed(tmp_path):
         load_schema(path)
 
 
+@pytest.mark.parametrize("flag", ["false", 0, None, [True]])
+def test_schema_json_integer_valued_must_be_a_boolean(tmp_path, flag):
+    column = {"name": "age", "kind": "continuous", "min": 0, "max": 90}
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"columns": [dict(column, integer_valued=flag)]}), encoding="utf-8")
+    with pytest.raises(ParseError, match="'age'"):
+        load_schema(path)
+    for given in (True, False):
+        path.write_text(json.dumps({"columns": [dict(column, integer_valued=given)]}))
+        assert load_schema(path).columns[0].integer_valued is given
+    path.write_text(json.dumps({"columns": [column]}))
+    assert load_schema(path).columns[0].integer_valued is False
+
+
 def test_column_schema_validation():
     with pytest.raises(SchemaError):
         ColumnSchema("c", ColumnKind.CATEGORICAL)  # no vocabulary
