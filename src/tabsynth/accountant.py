@@ -19,7 +19,7 @@ ends after alpha + 1 terms and equals the plain binomial sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -193,12 +193,7 @@ def accumulate_step(ledger: RdpLedger, q: float, sigma: float) -> RdpLedger:
     _step_vector(q, sigma, ledger.orders)  # validate (q, sigma) eagerly
     counts = dict(ledger.step_counts)
     counts[(q, sigma)] = counts.get((q, sigma), 0) + 1
-    return RdpLedger(
-        ledger.orders,
-        steps_taken=ledger.steps_taken + 1,
-        step_counts=tuple(counts.items()),
-        baseline=ledger.baseline,
-    )
+    return replace(ledger, steps_taken=ledger.steps_taken + 1, step_counts=tuple(counts.items()))
 
 
 def count_step(ledger: RdpLedger) -> RdpLedger:
@@ -207,12 +202,7 @@ def count_step(ledger: RdpLedger) -> RdpLedger:
     Unprivatized training still counts its updates here so the one-update-
     per-batch bookkeeping holds whether or not an accountant is attached.
     """
-    return RdpLedger(
-        ledger.orders,
-        steps_taken=ledger.steps_taken + 1,
-        step_counts=ledger.step_counts,
-        baseline=ledger.baseline,
-    )
+    return replace(ledger, steps_taken=ledger.steps_taken + 1)
 
 
 def to_epsilon_delta(ledger: RdpLedger, delta: float) -> float:

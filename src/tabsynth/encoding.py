@@ -9,6 +9,7 @@ continuous values, with rounding for integer-valued columns.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +33,9 @@ class ColumnSpan:
 
 
 def column_spans(schema: TableSchema) -> tuple[ColumnSpan, ...]:
-    spans = []
-    offset = 0
-    for col in schema.columns:
-        spans.append(ColumnSpan(col.name, col.kind, offset, col.width))
-        offset += col.width
-    return tuple(spans)
+    starts = itertools.accumulate((col.width for col in schema.columns), initial=0)
+    return tuple(ColumnSpan(col.name, col.kind, start, col.width)
+                 for col, start in zip(schema.columns, starts))
 
 
 @dataclass

@@ -11,7 +11,7 @@ with the *real* table's encoders so the comparison happens in one space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -255,16 +255,21 @@ def chi2_distance(real_counts, synth_counts) -> float:
 def marginal_distance(real: RawTable, synth: RawTable):
     """Mean per-feature distance (chi2 for categorical, KS for continuous).
 
-    Returns (overall, per_feature, dropped_categories).
+    Both tables are checked against their shared schema first, as ``encode``
+    checks them.  Returns (overall, per_feature, dropped_categories).
     """
     if real.schema != synth.schema:
         raise SchemaError("marginal_distance: schema mismatch")
-    width = len(real.schema.columns)
-    real_cols = list(zip(*real.rows)) or [()] * width
-    synth_cols = list(zip(*synth.rows)) or [()] * width
+    real.validate()
+    synth.validate()
+    return _marginal_distance(real, synth)
+
+
+def _marginal_distance(real: RawTable, synth: RawTable):
+    """``marginal_distance`` of two tables already validated on one schema."""
     per_feature = []
     dropped_total = 0
-    for col, rv, sv in zip(real.schema.columns, real_cols, synth_cols):
+    for col, rv, sv in zip(real.schema.columns, zip(*real.rows), zip(*synth.rows)):
         if col.kind is ColumnKind.CATEGORICAL:
             counts = [np.bincount(_label_positions(col.vocabulary, cells), minlength=col.width)
                       for cells in (rv, sv)]
@@ -414,15 +419,9 @@ class FidelityReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "pmse_ratio": self.pmse_ratio,
-            "marginal_distance": self.marginal_distance,
-            "alpha_precision_integral": self.alpha_precision_integral,
-            "beta_recall_integral": self.beta_recall_integral,
-            "auprc": self.auprc,
-            "per_feature": [{"name": n, "distance": d} for n, d in self.per_feature],
-            "metadata": dict(self.metadata),
-        }
+        payload = asdict(self)
+        payload["per_feature"] = [{"name": n, "distance": d} for n, d in self.per_feature]
+        return payload
 
 
 def evaluate(real: RawTable, synth: RawTable, grid_step: float = DEFAULT_GRID_STEP,
@@ -433,7 +432,7 @@ def evaluate(real: RawTable, synth: RawTable, grid_step: float = DEFAULT_GRID_ST
     mr = encode(real)
     ms = encode(RawTable(real.schema, synth.rows))
     ratio = pmse_ratio(mr, ms, ridge)
-    md, per_feature, dropped = marginal_distance(real, synth)
+    md, per_feature, dropped = _marginal_distance(real, synth)  # encode validated both
     curves = precision_recall_curves(mr, ms, grid_step)
     a_int, b_int, area = auprc(curves)
     meta = {

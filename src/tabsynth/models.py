@@ -80,10 +80,7 @@ def sample_table(model, rows: int, seed: int) -> RawTable:
 
 
 def _spans_to_json(spans) -> list[dict]:
-    return [
-        {"column": s.column, "kind": s.kind.value, "start": s.start, "width": s.width}
-        for s in spans
-    ]
+    return [asdict(s) for s in spans]  # ColumnKind is a str enum: JSON writes its value
 
 
 def _array_to_json(array: np.ndarray) -> str:

@@ -4,7 +4,8 @@ Everything here exists so that DP-SGD can clip gradients per sample, and
 no layer ever mixes information across samples (normalization is per
 sample, per group).  ``Sequential`` is the one forward and backward walk
 over a layer list, run by ``Network`` and by each ``ResidualConcatBlock``.
-Its ``backward_pairs`` returns for every Dense and GroupNorm layer a
+Every layer implements ``backward_pairs``, the one backward step: it
+returns the input gradient and, for a Dense or GroupNorm layer, appends a
 ``GradPair``: the layer input and output gradient that its per-sample
 parameter gradients are built from.  ``Layer.backward`` turns pairs into
 the batch-mean gradient or the (batch, n_params) per-sample matrix, the
@@ -56,13 +57,14 @@ class GradPair(NamedTuple):
 class Layer:
     """Base layer: owns a contiguous slice of the network's flat parameters.
 
+    Every layer implements ``forward`` and ``backward_pairs``, and every
+    layer but ``Sequential`` implements ``to_spec``.
     A parametrized layer's first ``n_outer`` parameters have per-sample
     gradient g⊗a; ``rows(a, g)`` forms the rest's, ``mean_rows`` its mean.
     """
 
     n_params: int = 0
     n_outer: int = 0
-    out_dim: int | None = None
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.empty(0, dtype=np.float64)
@@ -70,13 +72,9 @@ class Layer:
     def forward(self, p: np.ndarray, x: np.ndarray, mode: str, rng):
         raise NotImplementedError
 
-    def input_grad(self, p, cache, gy) -> np.ndarray:
-        """dL/dx of a layer without parameters."""
-        raise NotImplementedError
-
     def backward_pairs(self, p, cache, gy, start: int, pairs: list) -> np.ndarray:
         """Return dL/dx; append a GradPair per parametrized layer to pairs."""
-        return self.input_grad(p, cache, gy)
+        raise NotImplementedError
 
     def backward(self, p, cache, gy, grad_out, per_sample: bool) -> np.ndarray:
         """Return dL/dx; fill grad_out with parameter gradients.
@@ -133,7 +131,7 @@ class Relu(Layer):
     def forward(self, p, x, mode, rng):
         return np.maximum(x, 0.0), x > 0.0
 
-    def input_grad(self, p, cache, gy):
+    def backward_pairs(self, p, cache, gy, start, pairs):
         return gy * cache
 
     def to_spec(self):
@@ -148,7 +146,7 @@ class LeakyRelu(Layer):
         pos = x > 0.0
         return np.where(pos, x, self.slope * x), pos
 
-    def input_grad(self, p, cache, gy):
+    def backward_pairs(self, p, cache, gy, start, pairs):
         return np.where(cache, gy, self.slope * gy)
 
     def to_spec(self):
@@ -160,7 +158,7 @@ class Sigmoid(Layer):
         y = 1.0 / (1.0 + np.exp(-x))
         return y, y
 
-    def input_grad(self, p, cache, gy):
+    def backward_pairs(self, p, cache, gy, start, pairs):
         y = cache
         return gy * y * (1.0 - y)
 
@@ -185,7 +183,7 @@ class Dropout(Layer):
         mask = (rng.random(x.shape) < keep) / keep
         return x * mask, mask
 
-    def input_grad(self, p, cache, gy):
+    def backward_pairs(self, p, cache, gy, start, pairs):
         return gy if cache is None else gy * cache
 
     def to_spec(self):

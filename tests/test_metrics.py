@@ -302,6 +302,23 @@ def test_marginal_distance_rejects_schema_mismatch():
         marginal_distance(RawTable(MIXED, []), RawTable(other, []))
 
 
+@pytest.mark.parametrize("rows", [
+    pytest.param([("mid", 1.0), ("lo", 2.0)], id="unknown-label"),
+    pytest.param([("lo", "1.0"), ("hi", 2.0)], id="text-in-continuous"),
+    pytest.param([("lo", math.nan), ("hi", 2.0)], id="nan-cell"),
+    pytest.param([("lo", 1.0), ("hi",)], id="short-row"),
+])
+def test_marginal_distance_checks_both_tables_as_encode_does(rows):
+    good = RawTable(MIXED, [("lo", 1.0), ("hi", 2.0)])
+    bad = RawTable(MIXED, rows)
+    with pytest.raises(SchemaError) as from_encode:
+        encode(bad)
+    for pair in ((good, bad), (bad, good)):
+        with pytest.raises(SchemaError) as raised:
+            marginal_distance(*pair)
+        assert str(raised.value) == str(from_encode.value)
+
+
 # ---------------------------------------------------------------------------
 # precision / recall
 

@@ -267,6 +267,27 @@ def test_dp_sgd_step_equals_privatize_of_the_materialized_matrix(make):
     assert ledger == accumulate_step(fresh_ledger(), params.sample_rate, params.sigma)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_removing_one_row_moves_the_clipped_sum_by_at_most_the_clip_norm(seed):
+    """The L2 sensitivity the ledger's charge assumes.  Eval-mode forwards
+    keep every other row's passes, and so its gradient, unchanged."""
+    rng = np.random.default_rng(seed)
+    width, batch, steps = int(rng.integers(2, 9)), int(rng.integers(2, 12)), int(rng.integers(1, 6))
+    clip = float(rng.choice([0.01, 0.5, 1.0, 5.0]))
+    net = build_generator(3, 3, rng, width=width, blocks=2)
+    inputs = [(rng.normal(size=(batch, 3)), rng.normal(size=(batch, 3)) / steps)
+              for _ in range(steps)]
+
+    def clipped_sum(keep):
+        passes = [(net.forward(x[keep], mode="eval")[1], g[keep]) for x, g in inputs]
+        return ghost_clip(net, passes, clip)[1]
+
+    full = clipped_sum(np.arange(batch))
+    for i in range(batch):
+        moved = np.linalg.norm(full - clipped_sum(np.delete(np.arange(batch), i)))
+        assert moved <= clip * (1.0 + 1e-9)
+
+
 TOY = TableSchema((
     ColumnSchema("cat", ColumnKind.CATEGORICAL, vocabulary=("A", "B", "C")),
     ColumnSchema("x", ColumnKind.CONTINUOUS, minimum=0.0, maximum=1.0),
