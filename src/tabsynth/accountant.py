@@ -35,15 +35,6 @@ DEFAULT_ORDERS: tuple[float, ...] = (1.25, 1.5, 1.75) + tuple(
 _NEGLIGIBLE_LOG_TERM = -40.0  # series terms below e^-40 cannot move the total
 
 
-def _log_add(log_a: float, log_b: float) -> float:
-    """log(e^a + e^b) without leaving log space."""
-    if log_a == -math.inf:
-        return log_b
-    if log_b == -math.inf:
-        return log_a
-    hi, lo = (log_a, log_b) if log_a > log_b else (log_b, log_a)
-    return hi + math.log1p(math.exp(lo - hi))
-
 def _log_sub(log_a: float, log_b: float) -> float:
     """log(e^a - e^b); requires a >= b."""
     if log_b == -math.inf:
@@ -98,8 +89,8 @@ def _log_a(q: float, sigma: float, alpha: float) -> float:
         log_s0 = log_t0 + (i * i - i) / (2.0 * sigma * sigma) + log_e0
         log_s1 = log_t1 + (j * j - j) / (2.0 * sigma * sigma) + log_e1
         if sign > 0:
-            log_a0 = _log_add(log_a0, log_s0)
-            log_a1 = _log_add(log_a1, log_s1)
+            log_a0 = np.logaddexp(log_a0, log_s0)
+            log_a1 = np.logaddexp(log_a1, log_s1)
         else:
             log_a0 = _log_sub(log_a0, log_s0)
             log_a1 = _log_sub(log_a1, log_s1)
@@ -114,7 +105,7 @@ def _log_a(q: float, sigma: float, alpha: float) -> float:
         i += 1
         if i > alpha and max(log_s0, log_s1) < _NEGLIGIBLE_LOG_TERM:
             break
-    return _log_add(log_a0, log_a1)
+    return float(np.logaddexp(log_a0, log_a1))
 
 
 def rdp_subsampled_gaussian(q: float, sigma: float, alpha: float) -> float:
@@ -184,8 +175,9 @@ class RdpLedger:
         return RdpLedger(orders, steps_taken=steps, baseline=accumulated)
 
 
-def fresh_ledger(orders: tuple[float, ...] = DEFAULT_ORDERS) -> RdpLedger:
-    return RdpLedger(tuple(float(a) for a in orders))
+def fresh_ledger() -> RdpLedger:
+    """An empty ledger over ``DEFAULT_ORDERS``."""
+    return RdpLedger(DEFAULT_ORDERS)
 
 
 def accumulate_step(ledger: RdpLedger, q: float, sigma: float) -> RdpLedger:

@@ -4,7 +4,8 @@ Every command reads an optional JSON config file (``--config``); explicit
 flags override config keys, and a key the command does not read is a
 configuration error.  Exit codes: 0 success, 1 configuration or
 domain error, 2 unreadable or corrupt input.  All outputs are UTF-8 and
-byte-reproducible for a fixed seed.
+byte-reproducible for a fixed seed; only ``train`` and ``sample`` take
+``--seed``.
 """
 
 from __future__ import annotations
@@ -208,11 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def shared(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
         p.add_argument("--out", help="output path")
 
     train = sub.add_parser("train", help="fit a generative model on a table")
     shared(train)
+    train.add_argument("--seed", type=int, help="random seed (default 0)")
     train.add_argument("--data", help="CSV file with a header row")
     train.add_argument("--schema", help="optional schema JSON (else inferred)")
     train.add_argument("--model", choices=MODEL_KINDS, help="model kind")
@@ -229,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sample = sub.add_parser("sample", help="draw synthetic rows from a saved bundle")
     shared(sample)
+    sample.add_argument("--seed", type=int, help="random seed (default 0)")
     sample.add_argument("--model", help="path to a model bundle")
     sample.add_argument("--rows", type=int, help="number of rows to draw")
     sample.set_defaults(fn=cmd_sample)

@@ -71,12 +71,9 @@ def encode(table: RawTable) -> EncodedMatrix:
             hot = _label_positions(col.vocabulary, cells)
             out[np.arange(len(cells)), span.start + hot] = 1.0
         else:
-            values = np.asarray(cells, dtype=np.float64)
             width = col.maximum - col.minimum
-            if width == 0.0:
-                out[:, span.start] = 0.0
-            else:
-                out[:, span.start] = (values - col.minimum) / width
+            if width:  # a constant column keeps the 0.0 of np.zeros
+                out[:, span.start] = (np.asarray(cells, dtype=np.float64) - col.minimum) / width
     return EncodedMatrix(out, schema, spans)
 
 

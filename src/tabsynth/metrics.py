@@ -152,12 +152,13 @@ def pmse_expected(n_real: int, n_synth: int, d: int) -> float:
     return p * (1.0 - p) * d / total
 
 
-def pmse_ratio(real, synth, ridge: float = DEFAULT_RIDGE) -> float:
+def pmse_ratio(real, synth) -> float:
     """Observed/expected propensity MSE; ~1 when the discriminator is at chance.
 
-    Label 1 marks synthetic rows.  The parameter count d includes the
-    intercept, so d = encoded width + 1.  The categorical spans of an
-    ``EncodedMatrix`` input are passed to the fit as its one-hot ranges.
+    Label 1 marks synthetic rows.  The fit's ridge is ``DEFAULT_RIDGE`` (1e-6).
+    The parameter count d includes the intercept, so d = encoded width + 1.
+    The categorical spans of an ``EncodedMatrix`` input are passed to the fit
+    as its one-hot ranges.
     """
     xr, xs = _as_values(real), _as_values(synth)
     if xr.shape[1] != xs.shape[1]:
@@ -167,7 +168,7 @@ def pmse_ratio(real, synth, ridge: float = DEFAULT_RIDGE) -> float:
         (s.start, s.stop) for s in encoded.spans if s.kind is ColumnKind.CATEGORICAL)
     n1, n2 = xr.shape[0], xs.shape[0]
     labels = np.concatenate([np.zeros(n1), np.ones(n2)])
-    _, s = fit_logistic(np.concatenate([xr, xs]), labels, ridge, one_hot)
+    _, s = fit_logistic(np.concatenate([xr, xs]), labels, DEFAULT_RIDGE, one_hot)
     total = n1 + n2
     observed = float(np.mean((s - n2 / total) ** 2))
     expected = pmse_expected(n1, n2, xr.shape[1] + 1)
@@ -306,8 +307,10 @@ def precision_recall_curves(real, synth, grid_step: float = DEFAULT_GRID_STEP) -
     """Support coverage on mean-centered hyperspheres.
 
     P_alpha: fraction of synthetic rows inside the real alpha-sphere; R_beta is
-    the mirror image with the roles swapped.
+    the mirror image with the roles swapped.  ``grid_step`` must be in (0, 1].
     """
+    if not 0.0 < grid_step <= 1.0:
+        raise ConfigError(f"grid_step must be in (0, 1], got {grid_step}")
     xr, xs = _as_values(real), _as_values(synth)
     if xr.shape[1] != xs.shape[1]:
         raise SchemaError("precision_recall_curves: width mismatch")
@@ -424,16 +427,19 @@ class FidelityReport:
         return payload
 
 
-def evaluate(real: RawTable, synth: RawTable, grid_step: float = DEFAULT_GRID_STEP,
-             ridge: float = DEFAULT_RIDGE, metadata: dict | None = None) -> FidelityReport:
-    """Full fidelity report; both tables are encoded with the real schema."""
+def evaluate(real: RawTable, synth: RawTable, metadata: dict | None = None) -> FidelityReport:
+    """Full fidelity report; both tables are encoded with the real schema.
+
+    The pMSE fit uses ``DEFAULT_RIDGE`` and the precision/recall curves
+    ``DEFAULT_GRID_STEP``; ``metadata`` is merged into the report's own.
+    """
     if real.schema != synth.schema:
         raise SchemaError("evaluate: schema mismatch")
     mr = encode(real)
     ms = encode(RawTable(real.schema, synth.rows))
-    ratio = pmse_ratio(mr, ms, ridge)
+    ratio = pmse_ratio(mr, ms)
     md, per_feature, dropped = _marginal_distance(real, synth)  # encode validated both
-    curves = precision_recall_curves(mr, ms, grid_step)
+    curves = precision_recall_curves(mr, ms)
     a_int, b_int, area = auprc(curves)
     meta = {
         "n_real": len(real.rows),

@@ -119,6 +119,12 @@ def _network_to_json(net: Network, adam: AdamState) -> dict:
             "adam": _adam_to_json(adam)}
 
 
+def _count_from_json(value, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise BundleError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _adam_from_json(payload, version: int, n_params: int, where: str) -> AdamState:
     moments = []
     for key in ("m", "v"):
@@ -127,10 +133,7 @@ def _adam_from_json(payload, version: int, n_params: int, where: str) -> AdamSta
             raise BundleError(f"{where}adam.{key} holds {moment.shape[0]} values "
                               f"for {n_params} parameters")
         moments.append(moment)
-    t = payload["t"]
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise BundleError(f"{where}adam.t must be a non-negative integer, got {t!r}")
-    return AdamState(*moments, t)
+    return AdamState(*moments, _count_from_json(payload["t"], f"{where}adam.t"))
 
 
 def _config_from_json(kind: str, payload: dict):
@@ -209,7 +212,7 @@ def model_from_dict(payload: dict) -> TrainedModel:
         config = _config_from_json(kind, payload["config"])
         ledger = RdpLedger.from_state(payload["ledger"])
         epsilon_spent = _checked_epsilon(payload, config.privacy, ledger)
-        seed = int(payload["seed"])
+        seed = _count_from_json(payload["seed"], "seed")
         generator, adam = _network_from_json(payload, version)
         critic, adam_critic = (_network_from_json(payload["critic"], version, "critic.")
                                if kind == DPWGAN else (None, None))

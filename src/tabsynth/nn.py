@@ -410,9 +410,9 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[np.ndarray, AdamState]:
+              lr: float) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; returns new params and state."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = state.t + 1
     m = beta1 * state.m + (1.0 - beta1) * grad
     v = beta2 * state.v + (1.0 - beta2) * grad * grad
@@ -435,16 +435,16 @@ def build_generator(in_dim: int, out_dim: int, rng: np.random.Generator,
 
 
 def build_critic(in_dim: int, rng: np.random.Generator, hidden: int = 256,
-                 dropout: float = 0.5, slope: float = 0.2,
                  sigmoid_output: bool = False) -> Network:
-    """Three dense layers with LeakyReLU/Dropout, scalar output.
+    """Three dense layers with LeakyReLU (slope 0.2) and Dropout (rate 0.5),
+    scalar output.
 
     The sigmoid stays off for Wasserstein-style critics and is only added
     for a vanilla GAN discriminator.
     """
     layers: list[Layer] = [
-        Dense(in_dim, hidden), LeakyRelu(slope), Dropout(dropout),
-        Dense(hidden, hidden), LeakyRelu(slope), Dropout(dropout),
+        Dense(in_dim, hidden), LeakyRelu(0.2), Dropout(0.5),
+        Dense(hidden, hidden), LeakyRelu(0.2), Dropout(0.5),
         Dense(hidden, 1),
     ]
     if sigmoid_output:

@@ -206,20 +206,16 @@ def _try_float(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def infer_schema(
-    text: str,
-    overrides: dict[str, ColumnKind] | None = None,
-    max_numeric_categories: int = MAX_NUMERIC_CATEGORIES,
-) -> TableSchema:
+def infer_schema(text: str, overrides: dict[str, ColumnKind] | None = None) -> TableSchema:
     """Infer a schema from delimited text (header plus at least one row).
 
     Columns whose cells all parse as finite numbers and take more than
-    ``max_numeric_categories`` distinct values become continuous; everything
+    ``MAX_NUMERIC_CATEGORIES`` (20) distinct values become continuous; everything
     else becomes categorical with the vocabulary in order of first
     appearance.  ``overrides`` forces the kind of individual columns.
     """
     header, body = _parse_csv_text(text)
-    return _infer_from_rows(header, body, overrides, max_numeric_categories)
+    return _infer_from_rows(header, body, overrides)
 
 
 def _finite_numbers(cells) -> list[float] | None:
@@ -275,12 +271,8 @@ def _checked_columns(names, columns, rules):
         raise first_bad[1]
 
 
-def _infer_from_rows(
-    header: list[str],
-    body: list[list[str]],
-    overrides: dict[str, ColumnKind] | None = None,
-    max_numeric_categories: int = MAX_NUMERIC_CATEGORIES,
-) -> TableSchema:
+def _infer_from_rows(header: list[str], body: list[list[str]],
+                     overrides: dict[str, ColumnKind] | None = None) -> TableSchema:
     overrides = dict(overrides or {})
     if not body:
         raise ParseError("cannot infer a schema without data rows")
@@ -299,7 +291,7 @@ def _infer_from_rows(
                 if forced is ColumnKind.CONTINUOUS:
                     raise
         numeric = numbers is not None and (forced is ColumnKind.CONTINUOUS
-                                           or len(set(numbers)) > max_numeric_categories)
+                                           or len(set(numbers)) > MAX_NUMERIC_CATEGORIES)
 
         if numeric:
             columns.append(

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tabsynth.cli import LOG_COLUMNS, main
+from tabsynth.cli import LOG_COLUMNS, build_parser, main
 from tabsynth.privacy import TrainingDriver
 from tabsynth.schema import infer_schema, load_table
 
@@ -454,3 +454,14 @@ def test_sample_rejects_a_bundle_whose_layout_disagrees_with_its_schema_or_kind(
     assert main(["sample", "--model", str(bundle), "--rows", "5", "--out", str(out)]) == 2
     assert "not match" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["evaluate", "--real", "r.csv", "--synth", "s.csv"],
+                                  ["project", "--real", "r.csv", "--synth", "s.csv"],
+                                  ["benchmark", "--plan", "plan.json"]])
+def test_only_train_and_sample_take_a_seed(capsys, argv):
+    build_parser().parse_args(argv)  # valid without the seed
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import scipy.special
 import scipy.stats
 
 from tabsynth.encoding import encode
-from tabsynth.errors import DegenerateDataError, SchemaError
+from tabsynth.errors import ConfigError, DegenerateDataError, SchemaError
 from tabsynth.metrics import (
     FidelityReport,
     _chi2_stat,
@@ -487,3 +487,9 @@ def test_evaluate_rejects_schema_mismatch():
     other = TableSchema((ColumnSchema("z", ColumnKind.CONTINUOUS, minimum=0.0, maximum=1.0),))
     with pytest.raises(SchemaError):
         evaluate(RawTable(MIXED, [("lo", 1.0)]), RawTable(other, [(0.5,)]))
+
+
+@pytest.mark.parametrize("grid_step", [2.0, -0.1, 0.0, float("nan")])
+def test_precision_recall_rejects_a_grid_step_outside_the_unit_interval(grid_step):
+    with pytest.raises(ConfigError, match="grid_step"):
+        precision_recall_curves(np.zeros((5, 2)), np.ones((5, 2)), grid_step=grid_step)

@@ -415,3 +415,11 @@ def test_load_rejects_spans_or_variant_that_disagree_with_schema_and_kind(tmp_pa
     path.write_text(json.dumps(payload))
     with pytest.raises(BundleError, match="not match"):
         load_bundle(path)
+
+
+@pytest.mark.parametrize("seed", [1.7, True, "3", -4])
+def test_load_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    payload = bundle_dict(diffusion_model())
+    model_from_dict(payload)  # the untouched payload loads
+    with pytest.raises(BundleError, match="seed"):
+        model_from_dict(dict(payload, seed=seed))
