@@ -56,10 +56,10 @@ class BenchmarkPlan:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_number_fields(self)
+        check_number_fields(self, positive=True)
+        if self.delta >= 1.0:
+            raise ConfigError(f"option 'delta' must be < 1, got {self.delta}")
         object.__setattr__(self, "seeds", tuple(typed_number("seeds", s, int) for s in self.seeds))
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
         if len(self.seeds) != self.repeats:

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import benchmark as bench
@@ -21,11 +22,11 @@ from .diffusion import DiffusionConfig
 from .errors import (BundleError, ConfigError, DegenerateDataError, ParseError,
                      PrivacyError, TabsynthError, typed_number)
 from .encoding import encode
-from .gan import DPWGAN
+from .gan import DPWGAN, GanConfig
 from .metrics import DEFAULT_BINS, evaluate, pca_projection_histogram
 from .models import (MODEL_KINDS, load_bundle, make_config, option_keys, sample_table,
                      save_bundle, train_model)
-from .privacy import DEFAULT_BATCH_TARGET, DEFAULT_CLIP_NORM, DEFAULT_DELTA, build_privacy
+from .privacy import DEFAULT_CLIP_NORM, DEFAULT_DELTA, ModelConfig, build_privacy
 from .schema import load_schema, load_table, write_table
 
 _INPUT_ERRORS = (ParseError, BundleError, DegenerateDataError, OSError,
@@ -103,32 +104,35 @@ def cmd_train(args: argparse.Namespace) -> int:
     sigma = _number(cfg, "sigma", float)
     clip = _number(cfg, "clip", float, DEFAULT_CLIP_NORM)
     seed = _seed(cfg)
-    batch = _number(cfg, "batch", int, DEFAULT_BATCH_TARGET)
-    schema = load_schema(cfg["schema"]) if cfg.get("schema") else None
-    table = load_table(_require(cfg, "data"), schema)
-
-    if batch not in _GOOD_BATCHES:
-        print(f"warning: batch size {batch} is outside the tuned range 2^6..2^11",
-              file=sys.stderr)
-    privacy = build_privacy(epsilon, delta, sigma, clip, batch, len(table.rows))
 
     # Null leaves epochs, steps and lr unset; --lr sets both GAN rates, so
     # its value is typed here, under the key the user wrote.
     options = {key: cfg[key] for key in _MODEL_KEYS if key in cfg}
     options.update((key, cfg[key]) for key in ("epochs", "steps") if cfg.get(key) is not None)
-    options["batch_target"] = batch
+    options["batch_target"] = _number(cfg, "batch", int, ModelConfig.batch_target)
     if cfg.get("lr") is not None:
         lr_keys = ("generator_lr", "critic_lr") if kind == DPWGAN else ("lr",)
         options.update(dict.fromkeys(lr_keys, typed_number("lr", cfg["lr"], float)))
+    config = make_config(kind, **options)  # every option is checked before the data is read
 
-    model = train_model(encode(table), make_config(kind, privacy=privacy, **options), seed)
+    schema = load_schema(cfg["schema"]) if cfg.get("schema") else None
+    table = load_table(_require(cfg, "data"), schema)
+    if config.batch_target not in _GOOD_BATCHES:
+        print(f"warning: batch size {config.batch_target} is outside the tuned range 2^6..2^11",
+              file=sys.stderr)
+    privacy = build_privacy(epsilon, delta, sigma, clip, config.batch_target, len(table.rows))
+    model = train_model(encode(table), replace(config, privacy=privacy), seed)
     out = Path(cfg.get("out") or "model.json")
     save_bundle(model, out)
     log_path = Path(str(out) + ".log.csv")
     with open(log_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=LOG_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(model.log)
+        # A private run's diffusion and critic losses are un-noised means over
+        # training rows, so their cells stay blank; a generator loss comes
+        # from the private critic alone.
+        writer.writerows(model.log if privacy is None else (
+            row if row["kind"] == "generator" else {**row, "loss": None} for row in model.log))
     eps = "-" if model.epsilon_spent is None else f"{model.epsilon_spent:.4f}"
     print(f"trained {kind}: {model.ledger.steps_taken} steps, epsilon spent {eps}; "
           f"bundle {out}, log {log_path}")
@@ -221,11 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--delta", type=float, help=f"privacy delta (default {DEFAULT_DELTA:g})")
     train.add_argument("--sigma", type=float, help="noise multiplier (default: calibrated)")
     train.add_argument("--clip", type=float, help=f"gradient clip norm (default {DEFAULT_CLIP_NORM})")
-    train.add_argument("--batch", type=int, help=f"Poisson batch target (default {DEFAULT_BATCH_TARGET})")
-    train.add_argument("--epochs", type=int, default=None, help="epoch cap (default 300)")
+    train.add_argument("--batch", type=int, help=f"Poisson batch target (default {ModelConfig.batch_target})")
+    train.add_argument("--epochs", type=int, help=f"epoch cap (default {ModelConfig.epochs})")
     train.add_argument("--steps-T", dest="steps", type=int, default=None,
                        help=f"diffusion steps T (default {DiffusionConfig.steps})")
-    train.add_argument("--lr", type=float, default=None, help="learning rate")
+    train.add_argument("--lr", type=float,
+                       help=f"learning rate (default {DiffusionConfig.lr:g}); for dpwgan, "
+                            f"generator_lr and critic_lr (default {GanConfig.generator_lr:g} "
+                            f"and {GanConfig.critic_lr:g})")
     train.set_defaults(fn=cmd_train)
 
     sample = sub.add_parser("sample", help="draw synthetic rows from a saved bundle")

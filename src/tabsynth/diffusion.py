@@ -13,6 +13,8 @@ step of privacy budget regardless of T.  The trainer builds the T
 noised passes; ``privacy.TrainingDriver`` runs the rest of the loop,
 clips each sample's gradient summed over the T passes, whose loss
 gradients it scales by 1/T, and returns the run as a ``TrainedModel``.
+``DiffusionConfig`` adds the variant, T and the learning rate to the
+shared options of ``privacy.ModelConfig``, which checks their ranges.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import ColumnSpan, EncodedMatrix
-from .errors import ConfigError, check_number_fields
+from .errors import ConfigError
 from .nn import build_generator
-from .privacy import DEFAULT_BATCH_TARGET, PrivacyParams, TrainedModel, TrainingDriver
+from .privacy import ModelConfig, TrainedModel, TrainingDriver
 from .schema import ColumnKind
 
 NOISE_PREDICTOR = "tablediffusion"
@@ -33,30 +35,15 @@ DENOISER = "tablediffusion-denoiser"
 
 
 @dataclass(frozen=True)
-class DiffusionConfig:
+class DiffusionConfig(ModelConfig):
     variant: str = NOISE_PREDICTOR
     steps: int = 5
-    batch_target: int = DEFAULT_BATCH_TARGET
-    epochs: int = 300
     lr: float = 1e-3
-    width: int = 128
-    blocks: int = 2
-    privacy: PrivacyParams | None = None
 
     def __post_init__(self) -> None:
-        check_number_fields(self)
         if self.variant not in (NOISE_PREDICTOR, DENOISER):
             raise ConfigError(f"unknown diffusion variant {self.variant!r}")
-        if self.steps < 1:
-            raise ConfigError(f"need at least one diffusion step, got {self.steps}")
-        if self.batch_target < 1 or self.epochs < 1:
-            raise ConfigError("batch size and epochs must be positive")
-        if self.lr <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
-        if self.width < 1:
-            raise ConfigError(f"width must be >= 1, got {self.width}")
-        if self.blocks < 0:
-            raise ConfigError(f"blocks must be >= 0, got {self.blocks}")
+        super().__post_init__()
 
 
 def cosine_beta_schedule(steps: int) -> np.ndarray:

@@ -56,10 +56,15 @@ def typed_number(name: str, value, kind: type):
     return number
 
 
-def check_number_fields(instance) -> None:
-    """``typed_number`` on each int and float field of a frozen dataclass, in place."""
+def check_number_fields(instance, positive: bool = False, zero_ok: tuple = ()) -> None:
+    """``typed_number`` on each int and float field of a frozen dataclass, in
+    place; with ``positive``, the options' range rule too: each must be > 0,
+    or >= 0 where ``zero_ok`` names it, else a ConfigError names it."""
     for f in fields(instance):
         kind = {"int": int, "float": float}.get(getattr(f.type, "__name__", f.type))
         if kind is not None:
             value = typed_number(f.name, getattr(instance, f.name), kind)
             object.__setattr__(instance, f.name, value)
+            if positive and not (value > 0 or value == 0 and f.name in zero_ok):
+                bound = ">= 0" if f.name in zero_ok else "> 0"
+                raise ConfigError(f"option {f.name!r} must be {bound}, got {value}")

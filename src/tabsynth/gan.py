@@ -7,7 +7,9 @@ is the classic weight clamp, not a gradient penalty — a penalty would
 need per-sample gradients of gradients, which the kernel does not do.
 ``privacy.TrainingDriver`` runs the critic's batch loop and returns the run
 as a ``TrainedModel``; the trainer builds its real/fake pair, clamps it and
-runs the generator updates.
+runs the generator updates.  ``GanConfig`` adds the two learning rates, the
+critic cadence, the latent size and the clamp to the shared options of
+``privacy.ModelConfig``, which checks their ranges.
 """
 
 from __future__ import annotations
@@ -17,42 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import EncodedMatrix
-from .errors import ConfigError, check_number_fields
+from .errors import ConfigError
 from .nn import AdamState, adam_step, build_critic, build_generator
-from .privacy import DEFAULT_BATCH_TARGET, PrivacyParams, TrainedModel, TrainingDriver
+from .privacy import ModelConfig, TrainedModel, TrainingDriver
 
 DPWGAN = "dpwgan"
 
 
 @dataclass(frozen=True)
-class GanConfig:
-    batch_target: int = DEFAULT_BATCH_TARGET
-    epochs: int = 300
+class GanConfig(ModelConfig):
     generator_lr: float = 1e-4
     critic_lr: float = 1e-4
     critic_steps: int = 5      # critic updates per generator update
     latent_dim: int = 128
     weight_clamp: float = 0.01
-    width: int = 128
-    blocks: int = 2
-    privacy: PrivacyParams | None = None
-
-    def __post_init__(self) -> None:
-        check_number_fields(self)
-        if self.batch_target < 1 or self.epochs < 1:
-            raise ConfigError("batch size and epochs must be positive")
-        if self.generator_lr <= 0.0 or self.critic_lr <= 0.0:
-            raise ConfigError("learning rates must be positive")
-        if self.critic_steps < 1:
-            raise ConfigError(f"need at least one critic step, got {self.critic_steps}")
-        if self.latent_dim < 1:
-            raise ConfigError(f"latent dim must be positive, got {self.latent_dim}")
-        if self.weight_clamp <= 0.0:
-            raise ConfigError(f"weight clamp must be positive, got {self.weight_clamp}")
-        if self.width < 1:
-            raise ConfigError(f"width must be >= 1, got {self.width}")
-        if self.blocks < 0:
-            raise ConfigError(f"blocks must be >= 0, got {self.blocks}")
 
 
 def train_dpwgan(matrix: EncodedMatrix, config: GanConfig, seed: int) -> TrainedModel:

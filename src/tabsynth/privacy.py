@@ -8,8 +8,10 @@ never charged.
 
 Both trainers run their batch loop (draw, budget halt, update, ledger,
 log) through one ``TrainingDriver``, only build their forward passes and
-both return the driver's ``TrainedModel`` record; the CLI and the benchmark
-sweep build ``PrivacyParams`` with ``build_privacy``.  Private updates come
+both return the driver's ``TrainedModel`` record.  Their config classes
+subclass ``ModelConfig``, which declares the options they share and checks
+every numeric option's range; the CLI and the benchmark sweep build
+``PrivacyParams`` with ``build_privacy``.  Private updates come
 from ``dp_sgd_step``, which clips from ghost norms (``ghost_clip``): each
 sample's gradient norm and the clipped sum come from the ``GradPair``s of
 ``Network.backward_pairs``, the network's one backward walk, and each
@@ -33,15 +35,12 @@ from .errors import ConfigError, PrivacyError, check_number_fields
 from .nn import AdamState, Network, adam_step
 
 if TYPE_CHECKING:
-    from .diffusion import DiffusionConfig
     from .encoding import ColumnSpan, EncodedMatrix
-    from .gan import GanConfig
     from .schema import TableSchema
 
-# Defaults of the CLI, the benchmark sweep and both model configs.
+# Defaults of the CLI and the benchmark sweep.
 DEFAULT_DELTA = 1e-5
 DEFAULT_CLIP_NORM = 1.0
-DEFAULT_BATCH_TARGET = 512
 
 
 @dataclass(frozen=True)
@@ -202,6 +201,21 @@ def budget_exhausted(ledger: RdpLedger, params: PrivacyParams) -> bool:
     return to_epsilon_delta(hypothetical, params.delta) > params.epsilon_target
 
 
+@dataclass(frozen=True)
+class ModelConfig:
+    """The options every model kind reads, and the range rule of every numeric
+    option, a subclass's too: > 0, but ``blocks`` >= 0 (a head-only generator)."""
+
+    batch_target: int = 512
+    epochs: int = 300
+    width: int = 128
+    blocks: int = 2
+    privacy: PrivacyParams | None = None
+
+    def __post_init__(self) -> None:
+        check_number_fields(self, positive=True, zero_ok=("blocks",))
+
+
 @dataclass
 class TrainedModel:
     """One trained model of any kind, as a trainer returns it and a bundle
@@ -211,7 +225,7 @@ class TrainedModel:
     kind: str
     schema: TableSchema
     spans: tuple[ColumnSpan, ...]
-    config: DiffusionConfig | GanConfig
+    config: ModelConfig
     seed: int
     generator: Network
     adam: AdamState

@@ -272,3 +272,20 @@ def test_worker_count_rejects_a_bad_thread_cap(monkeypatch, value):
     monkeypatch.setenv("TABSYNTH_THREADS", value)
     with pytest.raises(ConfigError, match="TABSYNTH_THREADS"):
         worker_count(2)
+
+
+@pytest.mark.parametrize("delta", [0, -1e-5, 1, 1.5])
+def test_a_plan_delta_outside_the_unit_interval_fails_at_load_naming_it(tmp_path, capsys,
+                                                                         delta):
+    path, _ = tiny_csv(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({
+        "datasets": [{"name": "toy", "path": str(path)}], "models": ["tablediffusion"],
+        "epsilons": [1.0], "repeats": 1, "seeds": [0], "delta": delta,
+        "options": FAST_OPTIONS}))
+    with pytest.raises(ConfigError, match="'delta'"):
+        load_plan(plan_path)
+    out_dir = tmp_path / "bench"
+    assert main(["benchmark", "--plan", str(plan_path), "--out", str(out_dir)]) == 1
+    assert "'delta'" in capsys.readouterr().err
+    assert not out_dir.exists()  # no cell ran

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tabsynth.cli import LOG_COLUMNS, build_parser, main
+from tabsynth.models import option_keys
 from tabsynth.privacy import TrainingDriver
 from tabsynth.schema import infer_schema, load_table
 
@@ -465,3 +466,45 @@ def test_only_train_and_sample_take_a_seed(capsys, argv):
         main([*argv, "--seed", "1"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+MODEL_OPTIONS = [(model, key) for model in ("tablediffusion", "dpwgan")
+                 for key in sorted(option_keys(model))]
+
+
+@pytest.mark.parametrize("model, key", MODEL_OPTIONS,
+                         ids=[f"{model}-{key}" for model, key in MODEL_OPTIONS])
+def test_an_out_of_range_model_option_exits_1_naming_it(tmp_path, data_csv, capsys,
+                                                       model, key):
+    out = tmp_path / "m.json"
+    argv = ["train", "--data", str(data_csv), "--model", model, "--out", str(out)]
+    if key == "batch_target":  # set by --batch, not by the config file
+        argv += ["--batch", "0"]
+    else:
+        cfg = tmp_path / "range.json"
+        cfg.write_text(json.dumps({key: -1 if key == "blocks" else 0}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, kinds", [("tablediffusion", {"diffusion"}),
+                                          ("dpwgan", {"critic", "generator"})])
+def test_a_private_log_leaves_un_noised_losses_blank(tmp_path, data_csv, model, kinds):
+    rows = {}
+    for name, extra in (("private", ["--epsilon", "5", "--sigma", "2"]), ("plain", [])):
+        out = tmp_path / f"{name}.json"
+        assert main(["train", "--data", str(data_csv), "--model", model, "--out", str(out),
+                     "--epochs", "2", "--batch", "32", *extra]) == 0
+        with open(f"{out}.log.csv", newline="") as fh:
+            rows[name] = list(csv.DictReader(fh))
+    for name in rows:
+        assert {row["kind"] for row in rows[name]} == kinds
+    # an unprivatized log keeps every loss; a private one only the generator's,
+    # which comes from the private critic alone
+    assert all(row["loss"] != "" for row in rows["plain"])
+    for row in rows["private"]:
+        assert (row["loss"] != "") == (row["kind"] == "generator")
+        assert row["epsilon"] != ""

@@ -1,6 +1,7 @@
 """Bundle persistence: exact round trips and malformed-input handling."""
 
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -423,3 +424,19 @@ def test_load_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     model_from_dict(payload)  # the untouched payload loads
     with pytest.raises(BundleError, match="seed"):
         model_from_dict(dict(payload, seed=seed))
+
+
+NUMERIC_OPTIONS = [(config_class, f.name) for config_class in (DiffusionConfig, GanConfig)
+                   for f in dataclasses.fields(config_class)
+                   if getattr(f.type, "__name__", f.type) in ("int", "float")]
+
+
+@pytest.mark.parametrize("config_class, name", NUMERIC_OPTIONS,
+                         ids=[f"{c.__name__}-{n}" for c, n in NUMERIC_OPTIONS])
+def test_every_out_of_range_numeric_option_is_a_config_error_naming_it(config_class, name):
+    bad = (-1,) if name == "blocks" else (0, -1)
+    for value in bad:
+        with pytest.raises(ConfigError, match=repr(name)):
+            config_class(**{name: value})
+    if name == "blocks":
+        assert config_class(blocks=0).blocks == 0  # a head-only generator
