@@ -2,10 +2,13 @@
 
 A JSON plan file declares the grid; every cell trains one model, samples as
 many rows as the real table holds, and scores the output with the fidelity
-suite.  Cells run one by one unless ``TABSYNTH_THREADS`` sets a thread pool;
-failed cells are recorded and the sweep keeps going.  Aggregates are plain
-means/stds over the per-seed reports, so they can always be recomputed from
-the report files on disk.
+suite.  Loading a plan builds each model kind's config by the rule every
+cell uses (``_cell_config``) and rejects a repeated entry, so a bad option
+or a duplicate fails once, before any cell runs.  Cells run one by one
+unless ``TABSYNTH_THREADS`` sets a thread pool; a cell that still fails (its
+privacy parameters, its data) is recorded and the sweep keeps going.
+Aggregates are plain means/stds over the per-seed reports, so they can
+always be recomputed from the report files on disk.
 """
 
 from __future__ import annotations
@@ -68,11 +71,17 @@ class BenchmarkPlan:
         if not self.datasets or not self.models or not self.epsilons:
             raise ConfigError("plan needs at least one dataset, model and epsilon")
         for kind in self.models:
-            if kind not in MODEL_KINDS:
-                raise ConfigError(f"unknown model kind {kind!r} in plan")
+            _cell_config(kind, self.options)
         for eps in self.epsilons:
             if eps is not None and typed_number("epsilons", eps, float) <= 0:
                 raise ConfigError(f"epsilon budgets must be positive, got {eps}")
+        # Each entry names its own report files and results.csv rows.
+        for key, entries in (("datasets", [spec.name for spec in self.datasets]),
+                             ("models", self.models), ("seeds", self.seeds),
+                             ("epsilons", [_eps_label(eps) for eps in self.epsilons])):
+            repeated = [entry for i, entry in enumerate(entries) if entry in entries[:i]]
+            if repeated:
+                raise ConfigError(f"plan key {key!r} repeats {repeated[0]!r}")
 
 
 def load_plan(path: str | Path) -> BenchmarkPlan:
@@ -111,15 +120,21 @@ _PRIVACY_OPTION_KEYS = frozenset({"sigma", "clip_norm"})
 _OPTION_KEYS = frozenset().union(*map(option_keys, MODEL_KINDS)) | _PRIVACY_OPTION_KEYS
 
 
+def _cell_config(kind: str, options: dict):
+    """The config every cell of ``kind`` trains with: an option no model reads
+    is a ConfigError, and the kind keeps the options it reads."""
+    unknown = set(options) - _OPTION_KEYS
+    if unknown:
+        raise ConfigError(f"unknown benchmark options: {', '.join(sorted(unknown))}")
+    allowed = option_keys(kind)
+    return make_config(kind, **{k: v for k, v in options.items() if k in allowed})
+
+
 def run_cell(table: RawTable, model_kind: str, epsilon, seed: int,
              delta: float = DEFAULT_DELTA, options: dict | None = None) -> FidelityReport:
     """Train, sample |table| rows, evaluate: one benchmark grid cell."""
     options = dict(options or {})
-    unknown = set(options) - _OPTION_KEYS
-    if unknown:
-        raise ConfigError(f"unknown benchmark options: {', '.join(sorted(unknown))}")
-    allowed = option_keys(model_kind)
-    config = make_config(model_kind, **{k: v for k, v in options.items() if k in allowed})
+    config = _cell_config(model_kind, options)
     privacy = build_privacy(epsilon, delta, options.get("sigma"),
                             options.get("clip_norm", DEFAULT_CLIP_NORM), config.batch_target,
                             len(table.rows))

@@ -95,8 +95,6 @@ _MODEL_KEYS = tuple(frozenset().union(*map(option_keys, MODEL_KINDS))
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, _TRAIN_KEYS, _MODEL_KEYS)
     kind = _require(cfg, "model")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model {kind!r}; choose one of {', '.join(MODEL_KINDS)}")
     epsilon = _number(cfg, "epsilon", float)
     if epsilon is not None and epsilon <= 0.0:
         raise PrivacyError(f"epsilon target must be positive, got {epsilon}")

@@ -73,46 +73,30 @@ def _span_softmax(y: np.ndarray, spans: tuple[ColumnSpan, ...]) -> np.ndarray:
     return out
 
 
-def _continuous_mask(spans: tuple[ColumnSpan, ...], width: int) -> np.ndarray:
-    mask = np.zeros(width, dtype=bool)
-    for span in spans:
-        if span.kind is ColumnKind.CONTINUOUS:
-            mask[span.start : span.stop] = True
-    return mask
-
-
 def denoiser_loss_grads(y: np.ndarray, target: np.ndarray,
                         spans: tuple[ColumnSpan, ...]):
     """Per-sample reconstruction loss and its gradient w.r.t. raw outputs.
 
-    loss_i = MSE over continuous entries
+    loss_i = MSE over continuous entries (``noise_loss_grads`` on those columns)
            + (1/K) * sum over categorical features of KL(true || softmax(pred)),
     with K the total number of categories.  The true distributions are
     one-hot, so each KL term reduces to -log softmax at the true label.
     """
-    n_rows, _ = y.shape
-    losses = np.zeros(n_rows)
-    grads = np.zeros_like(y)
+    losses, grads = np.zeros(y.shape[0]), np.zeros_like(y)
+    cont = [i for s in spans if s.kind is ColumnKind.CONTINUOUS for i in range(s.start, s.stop)]
+    if cont:
+        losses, grads[:, cont] = noise_loss_grads(y[:, cont], target[:, cont])
 
-    cont = _continuous_mask(spans, y.shape[1])
-    n_cont = int(cont.sum())
-    if n_cont:
-        diff = y[:, cont] - target[:, cont]
-        losses += (diff * diff).mean(axis=1)
-        grads[:, cont] = 2.0 * diff / n_cont
-
-    total_categories = sum(s.width for s in spans if s.kind is ColumnKind.CATEGORICAL)
-    if total_categories:
-        for span in spans:
-            if span.kind is not ColumnKind.CATEGORICAL:
-                continue
-            block = y[:, span.start : span.stop]
-            truth = target[:, span.start : span.stop]
-            shifted = block - block.max(axis=1, keepdims=True)
-            log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            log_p = shifted - log_z
-            losses += -(truth * log_p).sum(axis=1) / total_categories
-            grads[:, span.start : span.stop] = (np.exp(log_p) - truth) / total_categories
+    categorical = [s for s in spans if s.kind is ColumnKind.CATEGORICAL]
+    total_categories = sum(s.width for s in categorical)
+    for span in categorical:
+        block = y[:, span.start : span.stop]
+        truth = target[:, span.start : span.stop]
+        shifted = block - block.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        log_p = shifted - log_z
+        losses += -(truth * log_p).sum(axis=1) / total_categories
+        grads[:, span.start : span.stop] = (np.exp(log_p) - truth) / total_categories
     return losses, grads
 
 

@@ -289,3 +289,48 @@ def test_a_plan_delta_outside_the_unit_interval_fails_at_load_naming_it(tmp_path
     assert main(["benchmark", "--plan", str(plan_path), "--out", str(out_dir)]) == 1
     assert "'delta'" in capsys.readouterr().err
     assert not out_dir.exists()  # no cell ran
+
+
+@pytest.mark.parametrize("options, match", [
+    ({"epochs": 0}, "'epochs'"), ({"width": "8"}, "'width'"), ({"steps": 0}, "'steps'"),
+    ({"critic_steps": 0}, "'critic_steps'"), ({"tempurature": 2}, "tempurature"),
+])
+def test_a_bad_plan_option_fails_at_load_naming_it(tmp_path, capsys, options, match):
+    path, _ = tiny_csv(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({
+        "datasets": [{"name": "toy", "path": str(path)}],
+        "models": ["tablediffusion", "dpwgan"], "epsilons": [None, 1.0],
+        "repeats": 1, "seeds": [0], "options": dict(FAST_OPTIONS, **options)}))
+    with pytest.raises(ConfigError, match=match):
+        load_plan(plan_path)
+    out_dir = tmp_path / "bench"
+    assert main(["benchmark", "--plan", str(plan_path), "--out", str(out_dir)]) == 1
+    assert match in capsys.readouterr().err
+    assert not out_dir.exists()  # no cell ran
+
+
+@pytest.mark.parametrize("key, entries", [
+    ("datasets", [{"name": "toy", "path": "a.csv"}, {"name": "toy", "path": "b.csv"}]),
+    ("models", ["tablediffusion", "dpwgan", "tablediffusion"]),
+    ("seeds", [0, 0]),
+    ("epsilons", [None, None]),
+    ("epsilons", [1, 1.0]),
+    ("epsilons", [1.0, 1.0000001]),  # both report as eps1
+])
+def test_a_plan_with_a_repeated_entry_fails_at_load_naming_the_key(tmp_path, capsys, key,
+                                                                   entries):
+    path, _ = tiny_csv(tmp_path)
+    plan = {"datasets": [{"name": "toy", "path": str(path)}], "models": ["tablediffusion"],
+            "epsilons": [None], "repeats": 1, "seeds": [0], "options": FAST_OPTIONS}
+    plan[key] = entries
+    if key == "seeds":
+        plan["repeats"] = len(entries)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    with pytest.raises(ConfigError, match=f"'{key}' repeats"):
+        load_plan(plan_path)
+    out_dir = tmp_path / "bench"
+    assert main(["benchmark", "--plan", str(plan_path), "--out", str(out_dir)]) == 1
+    assert f"'{key}' repeats" in capsys.readouterr().err
+    assert not out_dir.exists()
