@@ -184,8 +184,14 @@ def run_benchmark(plan: BenchmarkPlan, out_dir: str | Path) -> tuple[list[dict],
             for seed in plan.seeds]
 
     def run_one(job):
+        # Each cell writes its report as it finishes, so an interrupted
+        # sweep keeps every finished cell.
         ds, model, eps, seed = job
-        return run_cell(tables[ds], model, eps, seed, plan.delta, plan.options)
+        report = run_cell(tables[ds], model, eps, seed, plan.delta, plan.options)
+        name = f"{ds}_{model}_eps{_eps_label(eps)}_seed{seed}.report.json"
+        (out / name).write_text(
+            json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+        return report
 
     failures: list[dict] = []
     cells: dict = {}
@@ -197,9 +203,6 @@ def run_benchmark(plan: BenchmarkPlan, out_dir: str | Path) -> tuple[list[dict],
             failures.append({"dataset": ds, "model": model,
                              "epsilon": _eps_label(eps), "seed": seed, "error": error})
             continue
-        name = f"{ds}_{model}_eps{_eps_label(eps)}_seed{seed}.report.json"
-        (out / name).write_text(
-            json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
         cells.setdefault((ds, model, eps), []).append(report)
 
     rows = aggregate_reports(cells)

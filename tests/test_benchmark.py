@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from tabsynth import benchmark
 from tabsynth.benchmark import (
     BenchmarkPlan,
     DatasetSpec,
@@ -229,6 +230,25 @@ def test_sweep_writes_reports_and_aggregates(tmp_path):
     assert len(parsed) == 2
     assert parsed[1]["model"] == "tablediffusion"
     assert float(parsed[1]["pmse_ratio_mean"]) == pytest.approx(expected, rel=1e-12)
+
+
+def test_an_interrupted_sweep_keeps_each_finished_cell(tmp_path, monkeypatch):
+    path, _ = tiny_csv(tmp_path)
+    plan = small_plan(path, repeats=2, seeds=(0, 1))
+    seeds_run = []
+
+    def interrupted_at_the_second_cell(table, model_kind, epsilon, seed, *args):
+        seeds_run.append(seed)
+        if len(seeds_run) == 2:
+            raise KeyboardInterrupt  # not an Exception, so no cell guard catches it
+        return run_cell(table, model_kind, epsilon, seed, *args)
+
+    monkeypatch.delenv("TABSYNTH_THREADS", raising=False)
+    monkeypatch.setattr(benchmark, "run_cell", interrupted_at_the_second_cell)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        run_benchmark(plan, out)
+    assert (out / "toy_tablediffusion_epsnone_seed0.report.json").is_file()
 
 
 def test_failed_cells_are_recorded_and_skipped(tmp_path):

@@ -184,12 +184,9 @@ def test_range_wider_than_the_largest_float_is_rejected():
 
 sample_rates = st.floats(0.0, 1.0, exclude_min=True)
 noise_multipliers = st.floats(0.5, 10.0)
-# Each new (q, sigma) costs one RDP vector over the 69 default orders: 7 ms
-# for most pairs, 0.7 s at q = 0.5, sigma = 10.
-CHARGING = settings(PROPERTY, max_examples=25)
 
 
-@CHARGING
+@PROPERTY
 @given(sample_rates, noise_multipliers, st.integers(1, 50))
 def test_ledger_charges_add_up_and_epsilon_never_decreases(q, sigma, k):
     ledgers = [fresh_ledger()]
@@ -228,7 +225,7 @@ def test_ghost_clip_matches_the_per_sample_matrix_and_bounds_the_sum(case, clip)
     assert np.linalg.norm(clipped) <= len(oracle) * clip * (1.0 + 1e-12)
 
 
-@CHARGING
+@PROPERTY
 @given(generator_passes(zero_loss_grads=True), sample_rates, noise_multipliers,
        st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
 def test_a_step_on_zero_gradients_is_noise_alone(case, q, sigma, clip, seed):
