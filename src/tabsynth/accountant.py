@@ -181,6 +181,5 @@ def to_epsilon_delta(ledger: RdpLedger, delta: float) -> float:
         raise PrivacyError(f"delta must be in (0, 1), got {delta}")
     if not ledger.orders:
         return math.inf
-    log_inv_delta = math.log(1.0 / delta)
-    totals = ledger.accumulated
-    return float(min(totals[i] + log_inv_delta / (a - 1.0) for i, a in enumerate(ledger.orders)))
+    orders = np.array(ledger.orders)
+    return float(np.min(ledger.accumulated + math.log(1.0 / delta) / (orders - 1.0)))

@@ -13,9 +13,10 @@ subclass ``ModelConfig``, which declares the options they share and checks
 every numeric option's range; the CLI and the benchmark sweep build
 ``PrivacyParams`` with ``build_privacy``.  Private updates come
 from ``dp_sgd_step``, which clips from ghost norms (``ghost_clip``): each
-sample's gradient norm and the clipped sum come from the ``GradPair``s of
-``Network.backward_pairs``, the network's one backward walk, and each
-layer's own ``rows`` formula, so no (batch, n_params) matrix is built.
+sample's gradient norm and the clipped sum come from one (passes, batch,
+width) stack of inputs and one of output gradients per layer, taken from
+``Network.backward_pairs``, and each layer's own ``rows`` formula, so no
+(batch, n_params) matrix is built.
 ``clip_per_sample`` and ``privatize_batch_gradient`` apply the same rule to
 the per-sample matrix that ``Network.backward`` builds from the same pairs,
 and are kept as the reference the step is tested against.
@@ -93,53 +94,44 @@ def ghost_clip(net: Network, passes, clip_norm: float) -> tuple[np.ndarray, np.n
     ``passes`` holds (caches, loss_grads) pairs from ``net.forward`` over
     the same batch rows, and sample i's gradient G_i is the sum over the
     passes of the gradients of its losses (so losses to be averaged must
-    come with pre-scaled loss gradients).  Each layer's ``GradPair`` of
-    pass t holds inputs a_{i,t} and output gradients g_{i,t}.  The leading
-    block of g⊗a gradients gets its norm from the Gram trick,
+    come with pre-scaled loss gradients).  Each layer's ``GradPair``s are
+    stacked over the T passes into a (T, batch, in) and g (T, batch, out).
+    The leading block of g⊗a gradients gets its norm from the Gram trick,
 
         |G_i^outer|^2 = sum_{t,s} (a_{i,t} . a_{i,s}) (g_{i,t} . g_{i,s}),
 
-    and the trailing block's rows, sum_t ``layer.rows(a_t, g_t)``, are
-    formed directly.  The clipped sum is sum_i c_i G_i with
-    c_i = 1 / max(1, |G_i| / C), one GEMM per leading block over the passes
-    concatenated along the batch axis.  Returns (norms, clipped_sum) of
-    shapes (batch,) and (n_params,).
+    the product of a's and g's (batch, T, T) Grams, and the trailing
+    block's rows, sum_t ``layer.rows(a_t, g_t)``, are formed directly.
+    The clipped sum is sum_i c_i G_i with c_i = 1 / max(1, |G_i| / C): one
+    GEMM per leading block of c·g and a, the passes laid along the batch
+    axis, and c @ rows.  Returns (norms, clipped_sum), (batch,) and (n_params,).
     """
     if clip_norm <= 0.0:
         raise PrivacyError(f"clipping norm must be positive, got {clip_norm}")
     per_pass = [net.backward_pairs(caches, loss_grads)[0] for caches, loss_grads in passes]
-    batch = per_pass[0][0].g.shape[0]
-    squared = np.zeros(batch)
+    squared = np.zeros(per_pass[0][0].g.shape[0])
     layers = []
     for pairs in zip(*per_pass):
         layer, start = pairs[0].layer, pairs[0].start
-        a = [pair.a for pair in pairs]  # per pass: (batch, in)
-        g = [pair.g for pair in pairs]  # per pass: (batch, out)
+        a = np.stack([pair.a for pair in pairs])
+        g = np.stack([pair.g for pair in pairs])
         if layer.n_outer:
-            for t in range(len(pairs)):
-                squared += _row_dots(a[t], a[t]) * _row_dots(g[t], g[t])
-                for s in range(t):
-                    squared += 2.0 * _row_dots(a[t], a[s]) * _row_dots(g[t], g[s])
+            squared += np.einsum("bts,bts->b", np.einsum("tbi,sbi->bts", a, a),
+                                 np.einsum("tbi,sbi->bts", g, g))
         rows = sum(layer.rows(at, gt) for at, gt in zip(a, g))
-        squared += _row_dots(rows, rows)
+        squared += np.einsum("bi,bi->b", rows, rows)
         layers.append((layer, start, a, g, rows))
     norms = np.sqrt(squared)
     scale = 1.0 / np.maximum(1.0, norms / clip_norm)
 
     clipped = np.zeros(net.n_params)
     for layer, start, a, g, rows in layers:
-        stop = start + layer.n_params
         split = start + layer.n_outer
         if layer.n_outer:
-            scaled = np.concatenate([gt * scale[:, None] for gt in g])
-            clipped[start:split] = (scaled.T @ np.concatenate(a)).ravel()
-        clipped[split:stop] = scale @ rows
+            scaled = (g * scale[:, None]).reshape(-1, g.shape[2])
+            clipped[start:split] = (scaled.T @ a.reshape(-1, a.shape[2])).ravel()
+        clipped[split:start + layer.n_params] = scale @ rows
     return norms, clipped
-
-
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (batch, width) arrays."""
-    return np.einsum("ij,ij->i", x, y)
 
 
 def dp_sgd_step(net: Network, passes, ledger: RdpLedger, params: PrivacyParams,
