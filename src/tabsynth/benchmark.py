@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -184,32 +183,20 @@ def run_benchmark(plan: BenchmarkPlan, out_dir: str | Path) -> tuple[list[dict],
             for eps in plan.epsilons
             for seed in plan.seeds]
 
-    interrupted = threading.Event()
-
     def run_one(job):
-        # A cell that fails is recorded and the sweep goes on.  Each cell
-        # writes its report as it finishes, so an interrupted sweep keeps
-        # every finished cell; once a cell raises what is not an Exception
-        # (KeyboardInterrupt), no queued cell starts.
-        if interrupted.is_set():
-            return None, None
+        # Each cell writes its report as it finishes, so an interrupted
+        # sweep keeps every finished cell.
         ds, model, eps, seed = job
-        try:
-            report = run_cell(tables[ds], model, eps, seed, plan.delta, plan.options)
-            name = f"{ds}_{model}_eps{_eps_label(eps)}_seed{seed}.report.json"
-            (out / name).write_text(
-                json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-            return None, f"{type(exc).__name__}: {exc}"
-        except BaseException:
-            interrupted.set()
-            raise
-        return report, None
+        report = run_cell(tables[ds], model, eps, seed, plan.delta, plan.options)
+        name = f"{ds}_{model}_eps{_eps_label(eps)}_seed{seed}.report.json"
+        (out / name).write_text(
+            json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+        return report
 
     failures: list[dict] = []
     cells: dict = {}
     with ThreadPoolExecutor(max_workers=worker_count(len(jobs))) as pool:
-        outcomes = list(pool.map(run_one, jobs))
+        outcomes = list(pool.map(lambda j: _guarded(run_one, j), jobs))
     for job, (report, error) in zip(jobs, outcomes):
         ds, model, eps, seed = job
         if error is not None:
@@ -224,6 +211,13 @@ def run_benchmark(plan: BenchmarkPlan, out_dir: str | Path) -> tuple[list[dict],
         (out / "failures.json").write_text(
             json.dumps(failures, indent=2) + "\n", encoding="utf-8")
     return rows, failures
+
+
+def _guarded(fn, job):
+    try:
+        return fn(job), None
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _write_results_csv(rows: list[dict], path: Path) -> None:

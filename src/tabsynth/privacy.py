@@ -13,10 +13,9 @@ subclass ``ModelConfig``, which declares the options they share and checks
 every numeric option's range; the CLI and the benchmark sweep build
 ``PrivacyParams`` with ``build_privacy``.  Private updates come
 from ``dp_sgd_step``, which clips from ghost norms (``ghost_clip``): each
-sample's gradient norm and the clipped sum come from one (passes, batch,
-width) stack of inputs and one of output gradients per layer, taken from
-``Network.backward_pairs``, and each layer's own ``rows`` formula, so no
-(batch, n_params) matrix is built.
+sample's gradient norm and the clipped sum come from the ``GradPair``s of
+``Network.backward_pairs``, stacked over the passes per Dense layer, and
+each layer's own ``rows`` formula, so no (batch, n_params) matrix is built.
 ``clip_per_sample`` and ``privatize_batch_gradient`` apply the same rule to
 the per-sample matrix that ``Network.backward`` builds from the same pairs,
 and are kept as the reference the step is tested against.
@@ -94,9 +93,9 @@ def ghost_clip(net: Network, passes, clip_norm: float) -> tuple[np.ndarray, np.n
     ``passes`` holds (caches, loss_grads) pairs from ``net.forward`` over
     the same batch rows, and sample i's gradient G_i is the sum over the
     passes of the gradients of its losses (so losses to be averaged must
-    come with pre-scaled loss gradients).  Each layer's ``GradPair``s are
-    stacked over the T passes into a (T, batch, in) and g (T, batch, out).
-    The leading block of g⊗a gradients gets its norm from the Gram trick,
+    come with pre-scaled loss gradients).  A Dense layer's ``GradPair``s are
+    stacked over the T passes into a (T, batch, in) and g (T, batch, out),
+    and its leading block of g⊗a gradients gets its norm from the Gram trick,
 
         |G_i^outer|^2 = sum_{t,s} (a_{i,t} . a_{i,s}) (g_{i,t} . g_{i,s}),
 
@@ -113,12 +112,13 @@ def ghost_clip(net: Network, passes, clip_norm: float) -> tuple[np.ndarray, np.n
     layers = []
     for pairs in zip(*per_pass):
         layer, start = pairs[0].layer, pairs[0].start
-        a = np.stack([pair.a for pair in pairs])
-        g = np.stack([pair.g for pair in pairs])
+        a = g = None
         if layer.n_outer:
+            a = np.stack([pair.a for pair in pairs])
+            g = np.stack([pair.g for pair in pairs])
             squared += np.einsum("bts,bts->b", np.einsum("tbi,sbi->bts", a, a),
                                  np.einsum("tbi,sbi->bts", g, g))
-        rows = sum(layer.rows(at, gt) for at, gt in zip(a, g))
+        rows = sum(layer.rows(pair.a, pair.g) for pair in pairs)
         squared += np.einsum("bi,bi->b", rows, rows)
         layers.append((layer, start, a, g, rows))
     norms = np.sqrt(squared)
