@@ -15,18 +15,27 @@ clips each sample's gradient summed over the T passes, whose loss
 gradients it scales by 1/T, and returns the run as a ``TrainedModel``.
 ``DiffusionConfig`` adds the variant, T and the learning rate to the
 shared options of ``privacy.ModelConfig``, which checks their ranges.
+
+Sampling draws the noise for every row at once, then runs the whole
+reverse walk (all T passes, each update and the span softmax) over
+1,024-row blocks (``nn.map_rows``), so a block stays in cache across the
+T passes and the walk's activations never take more than one block's
+memory, however many rows are asked for.  On the OpenBLAS build this was
+measured on, the samples are byte-identical to one walk over every row;
+blocks below 1,024 rows took other kernel paths and moved the last bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .encoding import ColumnSpan, EncodedMatrix
 from .errors import ConfigError
-from .nn import build_generator
+from .nn import build_generator, map_rows
 from .privacy import ModelConfig, TrainedModel, TrainingDriver
 from .schema import ColumnKind
 
@@ -139,9 +148,13 @@ def sample_diffusion(model: TrainedModel, rows: int, rng: np.random.Generator) -
     """Reverse process: start from pure noise, walk back to data space."""
     if rows < 1:
         raise ConfigError(f"need at least one row, got {rows}")
-    width = model.schema.encoded_width
+    noise = rng.standard_normal((rows, model.schema.encoded_width))
+    return map_rows(partial(reverse_walk, model), noise)
+
+
+def reverse_walk(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+    """All T reverse steps from the noise rows ``x`` to data space."""
     betas = cosine_beta_schedule(model.config.steps)
-    x = rng.standard_normal((rows, width))
     for t_index in reversed(range(model.config.steps)):
         y, _ = model.generator.forward(x, mode="eval")
         if model.kind == NOISE_PREDICTOR:

@@ -215,7 +215,7 @@ def infer_schema(text: str, overrides: dict[str, ColumnKind] | None = None) -> T
     appearance.  ``overrides`` forces the kind of individual columns.
     """
     header, body = _parse_csv_text(text)
-    return _infer_from_rows(header, body, overrides)
+    return _infer_from_rows(header, body, overrides)[0]
 
 
 def _finite_numbers(cells) -> list[float] | None:
@@ -272,7 +272,9 @@ def _checked_columns(names, columns, rules):
 
 
 def _infer_from_rows(header: list[str], body: list[list[str]],
-                     overrides: dict[str, ColumnKind] | None = None) -> TableSchema:
+                     overrides: dict[str, ColumnKind] | None = None):
+    """(schema, columns): each column's cells as the schema types them, the
+    floats inference converted for a continuous column, else the labels."""
     overrides = dict(overrides or {})
     if not body:
         raise ParseError("cannot infer a schema without data rows")
@@ -280,7 +282,7 @@ def _infer_from_rows(header: list[str], body: list[list[str]],
     if unknown:
         raise SchemaError(f"override for unknown column(s): {sorted(unknown)}")
 
-    columns = []
+    columns, values = [], []
     for name, cells in zip(header, zip(*body)):
         forced = overrides.get(name)
         numbers = None
@@ -303,17 +305,21 @@ def _infer_from_rows(header: list[str], body: list[list[str]],
                     integer_valued=all(map(float.is_integer, numbers)),
                 )
             )
+            values.append(numbers)
         else:
             vocab = tuple(dict.fromkeys(cells))  # first-appearance order
             columns.append(ColumnSchema(name, ColumnKind.CATEGORICAL, vocabulary=vocab))
-    return TableSchema(tuple(columns))
+            values.append(cells)
+    return TableSchema(tuple(columns)), values
 
 
 def parse_table(text: str, schema: TableSchema | None = None) -> RawTable:
     """Parse delimited text into a typed table, inferring a schema if needed."""
     header, body = _parse_csv_text(text)
     if schema is None:
-        schema = _infer_from_rows(header, body)
+        # Inference has converted and typed every cell already.
+        schema, columns = _infer_from_rows(header, body)
+        return RawTable(schema, list(zip(*columns)))
     if list(header) != list(schema.names):
         raise SchemaError(f"header {header} does not match schema columns {list(schema.names)}")
     if not body:
@@ -328,12 +334,18 @@ def load_table(path: str | Path, schema: TableSchema | None = None) -> RawTable:
     return parse_table(text, schema)
 
 
-def _format_cell(col: ColumnSchema, cell) -> str:
+def _column_text(col: ColumnSchema, cells):
+    """The CSV text of a column's cells: labels as they are, an integral value
+    of an integer-valued column as an integer, any other number by repr."""
     if col.kind is ColumnKind.CATEGORICAL:
-        return cell
-    if col.integer_valued and float(cell) == int(cell):
-        return str(int(cell))
-    return repr(float(cell))
+        return cells
+    if col.integer_valued:
+        return [str(int(v)) if v.is_integer() else repr(v) for v in map(float, cells)]
+    return list(map(repr, map(float, cells)))
+
+
+def _format_cell(col: ColumnSchema, cell) -> str:
+    return _column_text(col, (cell,))[0]
 
 
 def table_to_text(table: RawTable) -> str:
@@ -341,8 +353,8 @@ def table_to_text(table: RawTable) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(table.schema.names)
-    for row in table.rows:
-        writer.writerow([_format_cell(c, v) for c, v in zip(table.schema.columns, row)])
+    writer.writerows(zip(*(_column_text(c, cells)
+                           for c, cells in zip(table.schema.columns, zip(*table.rows)))))
     return out.getvalue()
 
 

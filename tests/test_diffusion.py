@@ -15,11 +15,13 @@ from tabsynth.diffusion import (
     denoiser_loss_grads,
     noise_loss_grads,
     noise_step,
+    reverse_walk,
     sample_diffusion,
     train_diffusion,
 )
 from tabsynth.encoding import column_spans, encode
 from tabsynth.errors import ConfigError
+from tabsynth.nn import ROW_BLOCK
 from tabsynth.privacy import PrivacyParams
 from tabsynth.schema import ColumnKind, ColumnSchema, RawTable, TableSchema
 
@@ -192,14 +194,27 @@ def test_privatized_training_can_halt_before_its_first_step():
 
 def test_sampling_shapes_and_determinism():
     matrix = tiny_matrix()
-    config = DiffusionConfig(steps=2, batch_target=512, epochs=2, width=8, blocks=1)
-    model = train_diffusion(matrix, config, seed=0)
-    a = sample_diffusion(model, 17, np.random.default_rng(5))
-    b = sample_diffusion(model, 17, np.random.default_rng(5))
-    assert a.shape == (17, SCHEMA.encoded_width)
-    np.testing.assert_array_equal(a, b)
-    with pytest.raises(ConfigError):
-        sample_diffusion(model, 0, np.random.default_rng(0))
+    for variant in (NOISE_PREDICTOR, DENOISER):
+        config = DiffusionConfig(variant=variant, steps=2, batch_target=512, epochs=2,
+                                 width=8, blocks=1)
+        model = train_diffusion(matrix, config, seed=0)
+        a = sample_diffusion(model, 17, np.random.default_rng(5))
+        b = sample_diffusion(model, 17, np.random.default_rng(5))
+        assert a.shape == (17, SCHEMA.encoded_width)
+        np.testing.assert_array_equal(a, b)
+        with pytest.raises(ConfigError):
+            sample_diffusion(model, 0, np.random.default_rng(0))
+
+        # Two full row blocks and a tail: each block is the walk over its own
+        # noise alone, and the whole is the walk over every row at once.
+        rows = 2 * ROW_BLOCK + 452
+        out = sample_diffusion(model, rows, np.random.default_rng(5))
+        noise = np.random.default_rng(5).standard_normal((rows, SCHEMA.encoded_width))
+        for start in range(0, rows, ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            np.testing.assert_array_equal(out[block], reverse_walk(model, noise[block]))
+        whole = reverse_walk(model, noise)
+        np.testing.assert_allclose(out, whole, rtol=1e-12, atol=1e-12 * np.abs(whole).max())
 
 
 def test_denoiser_variant_samples_on_the_simplex():

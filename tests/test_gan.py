@@ -7,7 +7,7 @@ from tabsynth.accountant import fresh_ledger, to_epsilon_delta
 from tabsynth.encoding import encode
 from tabsynth.errors import ConfigError
 from tabsynth.gan import DPWGAN, GanConfig, sample_gan, train_dpwgan
-from tabsynth.nn import Network
+from tabsynth.nn import ROW_BLOCK, Network
 from tabsynth.privacy import PrivacyParams
 from tabsynth.schema import ColumnKind, ColumnSchema, RawTable, TableSchema
 
@@ -127,6 +127,17 @@ def test_sampling_uses_generator_only():
     np.testing.assert_array_equal(a, direct)
     with pytest.raises(ConfigError):
         sample_gan(model, 0, np.random.default_rng(0))
+
+    # Two full row blocks and a tail: each block is the generator's pass over
+    # its own latents alone, and the whole is one pass over every latent.
+    rows = 2 * ROW_BLOCK + 452
+    out = sample_gan(model, rows, np.random.default_rng(4))
+    z = np.random.default_rng(4).standard_normal((rows, model.config.latent_dim))
+    for start in range(0, rows, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        np.testing.assert_array_equal(out[block], model.generator.forward(z[block], mode="eval")[0])
+    whole, _ = model.generator.forward(z, mode="eval")
+    np.testing.assert_allclose(out, whole, rtol=1e-12, atol=1e-12 * np.abs(whole).max())
 
 
 def test_private_generator_updates_build_no_critic_gradient(monkeypatch):

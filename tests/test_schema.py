@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -138,6 +140,28 @@ def test_integer_valued_cells_written_without_decimal(tmp_path):
     assert table.schema.columns[0].integer_valued
     out = table_to_text(table)
     assert "\n3\n" in out and "3.0" not in out
+
+
+def test_column_writer_matches_the_cell_rule():
+    schema = TableSchema((
+        ColumnSchema("n", ColumnKind.CONTINUOUS, minimum=-1.0, maximum=3.0, integer_valued=True),
+        ColumnSchema("x", ColumnKind.CONTINUOUS, minimum=-1.0, maximum=3.0),
+        ColumnSchema("label", ColumnKind.CATEGORICAL,
+                     vocabulary=("plain", "with,comma", 'with"quote', "two\nlines")),
+    ))
+    rows = [(np.float64(2.0), np.float64(0.1), "plain"),
+            (-0.0, -0.0, "with,comma"),
+            (2.5, 3.0, 'with"quote'),  # validate accepts 2.5 in an integer-valued column
+            (-1.0, np.float64(-0.0), "two\nlines")]
+    per_cell = io.StringIO()
+    writer = csv.writer(per_cell, lineterminator="\n")
+    writer.writerow(schema.names)
+    for row in rows:
+        writer.writerow([_format_cell(c, v) for c, v in zip(schema.columns, row)])
+    text = table_to_text(RawTable(schema, rows))
+    assert text == per_cell.getvalue()
+    assert text == ('n,x,label\n2,0.1,plain\n0,-0.0,"with,comma"\n2.5,3.0,"with""quote"\n'
+                    '-1,-0.0,"two\nlines"\n')
 
 
 def test_schema_json_round_trip(tmp_path):
