@@ -20,7 +20,7 @@ from pathlib import Path
 from . import benchmark as bench
 from .diffusion import DiffusionConfig
 from .errors import (BundleError, ConfigError, DegenerateDataError, ParseError,
-                     PrivacyError, TabsynthError, typed_number)
+                     TabsynthError, typed_number)
 from .encoding import encode
 from .gan import DPWGAN, GanConfig
 from .metrics import DEFAULT_BINS, evaluate, pca_projection_histogram
@@ -96,8 +96,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, _TRAIN_KEYS, _MODEL_KEYS)
     kind = _require(cfg, "model")
     epsilon = _number(cfg, "epsilon", float)
-    if epsilon is not None and epsilon <= 0.0:
-        raise PrivacyError(f"epsilon target must be positive, got {epsilon}")
     delta = _number(cfg, "delta", float, DEFAULT_DELTA)
     sigma = _number(cfg, "sigma", float)
     clip = _number(cfg, "clip", float, DEFAULT_CLIP_NORM)
@@ -112,6 +110,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         lr_keys = ("generator_lr", "critic_lr") if kind == DPWGAN else ("lr",)
         options.update(dict.fromkeys(lr_keys, typed_number("lr", cfg["lr"], float)))
     config = make_config(kind, **options)  # every option is checked before the data is read
+    build_privacy(epsilon, delta, sigma, clip, 1, 1)  # and the privacy options, at q = 1
 
     schema = load_schema(cfg["schema"]) if cfg.get("schema") else None
     table = load_table(_require(cfg, "data"), schema)

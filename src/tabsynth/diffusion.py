@@ -1,11 +1,11 @@
 """Diffusion-style generative training over encoded tables.
 
-Two variants share one loop.  The noise predictor learns the scaled
-noise z_t = sqrt(beta_t) * xi added at each forward-diffusion step and
-samples by iteratively subtracting its prediction; the denoiser learns
-to reconstruct the clean batch from its noised version (mean squared
-error on continuous spans, normalized KL divergence on categorical
-spans) and samples by repeated application.
+Two variants share one loop; ``VARIANTS`` holds each one's loss and reverse
+step.  The noise predictor learns the scaled noise z_t = sqrt(beta_t) * xi
+added at each forward-diffusion step and samples by iteratively subtracting
+its prediction; the denoiser learns to reconstruct the clean batch from its
+noised version (mean squared error on continuous spans, normalized KL
+divergence on categorical spans) and samples by repeated application.
 
 Every batch is used at all T noise levels and the T per-sample losses
 are averaged before a single privatized update, so one batch costs one
@@ -50,7 +50,7 @@ class DiffusionConfig(ModelConfig):
     lr: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.variant not in (NOISE_PREDICTOR, DENOISER):
+        if self.variant not in VARIANTS:
             raise ConfigError(f"unknown diffusion variant {self.variant!r}")
         super().__post_init__()
 
@@ -116,6 +116,16 @@ def noise_loss_grads(y: np.ndarray, z: np.ndarray):
     return losses, 2.0 * diff / y.shape[1]
 
 
+# variant -> (loss rule, reverse rule); lambdas, so a wrapper set on the module is what runs.
+VARIANTS = {
+    NOISE_PREDICTOR: (lambda y, x, z, spans: noise_loss_grads(y, z),
+                      lambda x, y, beta, spans: x - y * math.sqrt(beta)),
+    # Reconstructions go back in as inputs, so categorical spans return to the simplex.
+    DENOISER: (lambda y, x, z, spans: denoiser_loss_grads(y, x, spans),
+               lambda x, y, beta, spans: _span_softmax(y, spans)),
+}
+
+
 def train_diffusion(matrix: EncodedMatrix, config: DiffusionConfig, seed: int) -> TrainedModel:
     rng = np.random.default_rng(seed)
     n_rows, width = matrix.values.shape
@@ -123,6 +133,7 @@ def train_diffusion(matrix: EncodedMatrix, config: DiffusionConfig, seed: int) -
     betas = cosine_beta_schedule(config.steps)
     driver = TrainingDriver(net, config.lr, config.privacy, config.batch_target, n_rows, rng)
     batches_per_epoch = max(1, round(1.0 / driver.q))
+    loss, _ = VARIANTS[config.variant]
 
     for epoch in range(config.epochs):
         for idx in driver.draws(batches_per_epoch):
@@ -131,10 +142,7 @@ def train_diffusion(matrix: EncodedMatrix, config: DiffusionConfig, seed: int) -
             for t_index in range(config.steps):
                 noised, z = noise_step(x, float(betas[t_index]), rng)
                 y, caches = net.forward(noised, mode="train", rng=rng)
-                if config.variant == NOISE_PREDICTOR:
-                    losses, loss_grads = noise_loss_grads(y, z)
-                else:
-                    losses, loss_grads = denoiser_loss_grads(y, x, matrix.spans)
+                losses, loss_grads = loss(y, x, z, matrix.spans)
                 driver.add(caches, loss_grads)
                 loss_sum += losses
             driver.apply(config.steps, float(loss_sum.mean() / config.steps), epoch, "diffusion")
@@ -155,12 +163,8 @@ def sample_diffusion(model: TrainedModel, rows: int, rng: np.random.Generator) -
 def reverse_walk(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     """All T reverse steps from the noise rows ``x`` to data space."""
     betas = cosine_beta_schedule(model.config.steps)
+    _, reverse = VARIANTS[model.kind]
     for t_index in reversed(range(model.config.steps)):
         y, _ = model.generator.forward(x, mode="eval")
-        if model.kind == NOISE_PREDICTOR:
-            x = x - y * math.sqrt(float(betas[t_index]))
-        else:
-            # Reconstructions go back in as inputs, so categorical spans must
-            # return to the simplex the network was trained on.
-            x = _span_softmax(y, model.spans)
+        x = reverse(x, y, float(betas[t_index]), model.spans)
     return x

@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .accountant import RdpLedger, to_epsilon_delta
-from .diffusion import (DENOISER, NOISE_PREDICTOR, DiffusionConfig, sample_diffusion,
-                        train_diffusion)
+from .diffusion import VARIANTS, DiffusionConfig, sample_diffusion, train_diffusion
 from .encoding import EncodedMatrix, column_spans, decode
 from .errors import BundleError, ConfigError
 from .gan import DPWGAN, GanConfig, sample_gan, train_dpwgan
@@ -34,7 +33,7 @@ from .privacy import PrivacyParams, TrainedModel
 from .schema import RawTable, TableSchema
 
 FORMAT_VERSION = 2
-MODEL_KINDS = (NOISE_PREDICTOR, DENOISER, DPWGAN)
+MODEL_KINDS = (*VARIANTS, DPWGAN)
 _EPSILON_TOLERANCE = 1e-9  # stored epsilon_spent against the ledger's
 
 

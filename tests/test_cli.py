@@ -307,6 +307,18 @@ def test_exit_codes_for_bad_configuration(tmp_path, data_csv):
     assert main(["sample", "--model", str(tmp_path / "m.json"), "--rows", "0"]) == 1
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--epsilon", "0"], "epsilon"),
+    (["--epsilon", "1", "--sigma", "-1"], "noise multiplier"),
+    (["--epsilon", "1", "--clip", "0"], "clipping norm"),
+    (["--epsilon", "1", "--delta", "2"], "delta"),
+])
+def test_a_bad_privacy_option_exits_1_before_the_data_is_read(tmp_path, capsys, flags, named):
+    assert main(["train", "--data", str(tmp_path / "nope.csv"),
+                 "--model", "tablediffusion", *flags]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_exit_codes_for_bad_input(tmp_path, data_csv):
     # unreadable training data
     assert main(["train", "--data", str(tmp_path / "missing.csv"),

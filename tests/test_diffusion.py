@@ -21,8 +21,8 @@ from tabsynth.diffusion import (
 )
 from tabsynth.encoding import column_spans, encode
 from tabsynth.errors import ConfigError
-from tabsynth.nn import ROW_BLOCK
-from tabsynth.privacy import PrivacyParams
+from tabsynth.nn import ROW_BLOCK, AdamState, adam_step, build_generator
+from tabsynth.privacy import PrivacyParams, poisson_sample
 from tabsynth.schema import ColumnKind, ColumnSchema, RawTable, TableSchema
 
 SCHEMA = TableSchema((
@@ -122,6 +122,27 @@ def test_config_validation():
         DiffusionConfig(epochs=0)
     with pytest.raises(ConfigError):
         DiffusionConfig(lr=0.0)
+
+
+def test_each_variant_trains_on_its_own_target():
+    # One full batch (q = 1) at one level, replayed by hand from the same seed:
+    # the noise predictor regresses on the added noise z, the denoiser on the
+    # clean batch x.
+    matrix = tiny_matrix()
+    targets = {NOISE_PREDICTOR: lambda y, x, z: noise_loss_grads(y, z),
+               DENOISER: lambda y, x, z: denoiser_loss_grads(y, x, SPANS)}
+    for variant, loss in targets.items():
+        config = DiffusionConfig(variant=variant, steps=1, epochs=1, batch_target=512,
+                                 width=8, blocks=1)
+        model = train_diffusion(matrix, config, seed=0)
+        rng = np.random.default_rng(0)
+        net = build_generator(SCHEMA.encoded_width, SCHEMA.encoded_width, rng, width=8, blocks=1)
+        x = matrix.values[poisson_sample(40, 1.0, rng)]
+        noised, z = noise_step(x, 1.0, rng)
+        y, caches = net.forward(noised, mode="train", rng=rng)
+        grad, _ = net.backward(caches, loss(y, x, z)[1], per_sample=False)
+        params, _ = adam_step(net.params, grad, AdamState.zeros(net.n_params), config.lr)
+        np.testing.assert_array_equal(model.generator.params, params)
 
 
 def test_unprivatized_training_counts_steps_without_epsilon():
@@ -240,3 +261,16 @@ def test_noise_predictor_reverse_rule():
     x = np.random.default_rng(11).standard_normal((5, SCHEMA.encoded_width))
     y, _ = model.generator.forward(x, mode="eval")
     np.testing.assert_allclose(out, x - y * math.sqrt(1.0), rtol=1e-12)
+
+
+def test_denoiser_reverse_rule():
+    # With the network frozen, one reverse step must map the noise to the
+    # span softmax of its reconstruction.
+    matrix = tiny_matrix()
+    config = DiffusionConfig(variant=DENOISER, steps=1, batch_target=512, epochs=1, width=8,
+                             blocks=1)
+    model = train_diffusion(matrix, config, seed=0)
+    out = sample_diffusion(model, 5, np.random.default_rng(11))
+    x = np.random.default_rng(11).standard_normal((5, SCHEMA.encoded_width))
+    y, _ = model.generator.forward(x, mode="eval")
+    np.testing.assert_array_equal(out, _span_softmax(y, SPANS))
