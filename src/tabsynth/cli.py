@@ -26,7 +26,8 @@ from .gan import DPWGAN, GanConfig
 from .metrics import DEFAULT_BINS, evaluate, pca_projection_histogram
 from .models import (MODEL_KINDS, load_bundle, make_config, option_keys, sample_table,
                      save_bundle, train_model)
-from .privacy import DEFAULT_CLIP_NORM, DEFAULT_DELTA, ModelConfig, build_privacy
+from .privacy import (DEFAULT_CLIP_NORM, DEFAULT_DELTA, ModelConfig, PrivacyParams,
+                      build_privacy)
 from .schema import load_schema, load_table, write_table
 
 _INPUT_ERRORS = (ParseError, BundleError, DegenerateDataError, OSError,
@@ -110,7 +111,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         lr_keys = ("generator_lr", "critic_lr") if kind == DPWGAN else ("lr",)
         options.update(dict.fromkeys(lr_keys, typed_number("lr", cfg["lr"], float)))
     config = make_config(kind, **options)  # every option is checked before the data is read
-    build_privacy(epsilon, delta, sigma, clip, 1, 1)  # and the privacy options, at q = 1
+    # and so are the privacy options, at q = 1; an unprivatized run ignores
+    # --delta, --sigma and --clip, but they must still be in range
+    if epsilon is None:
+        PrivacyParams(1.0, delta, 1.0 if sigma is None else sigma, clip, 1.0)
+    else:
+        build_privacy(epsilon, delta, sigma, clip, 1, 1)
 
     schema = load_schema(cfg["schema"]) if cfg.get("schema") else None
     table = load_table(_require(cfg, "data"), schema)

@@ -19,10 +19,13 @@ shared options of ``privacy.ModelConfig``, which checks their ranges.
 Sampling draws the noise for every row at once, then runs the whole
 reverse walk (all T passes, each update and the span softmax) over
 1,024-row blocks (``nn.map_rows``), so a block stays in cache across the
-T passes and the walk's activations never take more than one block's
-memory, however many rows are asked for.  On the OpenBLAS build this was
-measured on, the samples are byte-identical to one walk over every row;
-blocks below 1,024 rows took other kernel paths and moved the last bits.
+T passes, however many rows are asked for.  Every pass of every block runs
+through one ``nn.EvalWorkspace`` per call, sized to one block: the rows
+being walked live in its input columns, each reverse rule writes the next
+rows there from the head's output, and no pass allocates an activation.
+On the OpenBLAS build this was measured on, the samples are byte-identical
+to one walk over every row; blocks below 1,024 rows took other kernel paths
+and moved the last bits.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .encoding import ColumnSpan, EncodedMatrix
 from .errors import ConfigError
-from .nn import build_generator, map_rows
+from .nn import ROW_BLOCK, EvalWorkspace, build_generator, map_rows
 from .privacy import ModelConfig, TrainedModel, TrainingDriver
 from .schema import ColumnKind
 
@@ -69,16 +72,20 @@ def noise_step(x: np.ndarray, beta: float, rng: np.random.Generator):
     return x + z, z
 
 
-def _span_softmax(y: np.ndarray, spans: tuple[ColumnSpan, ...]) -> np.ndarray:
-    """Softmax within each categorical span, identity elsewhere."""
-    out = y.copy()
+def _span_softmax(y: np.ndarray, spans: tuple[ColumnSpan, ...],
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax within each categorical span, identity elsewhere, into ``out``
+    (a new array by default)."""
+    if out is None:
+        out = np.empty_like(y)
+    out[...] = y
     for span in spans:
         if span.kind is not ColumnKind.CATEGORICAL:
             continue
-        block = y[:, span.start : span.stop]
-        shifted = block - block.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        out[:, span.start : span.stop] = e / e.sum(axis=1, keepdims=True)
+        block = out[:, span.start : span.stop]
+        block -= block.max(axis=1, keepdims=True)
+        np.exp(block, out=block)
+        block /= block.sum(axis=1, keepdims=True)
     return out
 
 
@@ -117,12 +124,14 @@ def noise_loss_grads(y: np.ndarray, z: np.ndarray):
 
 
 # variant -> (loss rule, reverse rule); lambdas, so a wrapper set on the module is what runs.
+# A reverse rule writes the next rows into x and may overwrite y.
 VARIANTS = {
     NOISE_PREDICTOR: (lambda y, x, z, spans: noise_loss_grads(y, z),
-                      lambda x, y, beta, spans: x - y * math.sqrt(beta)),
+                      lambda x, y, beta, spans: np.subtract(
+                          x, np.multiply(y, math.sqrt(beta), out=y), out=x)),
     # Reconstructions go back in as inputs, so categorical spans return to the simplex.
     DENOISER: (lambda y, x, z, spans: denoiser_loss_grads(y, x, spans),
-               lambda x, y, beta, spans: _span_softmax(y, spans)),
+               lambda x, y, beta, spans: _span_softmax(y, spans, out=x)),
 }
 
 
@@ -157,14 +166,23 @@ def sample_diffusion(model: TrainedModel, rows: int, rng: np.random.Generator) -
     if rows < 1:
         raise ConfigError(f"need at least one row, got {rows}")
     noise = rng.standard_normal((rows, model.schema.encoded_width))
-    return map_rows(partial(reverse_walk, model), noise)
+    workspace = EvalWorkspace(model.generator, min(rows, ROW_BLOCK))
+    return map_rows(partial(reverse_walk, model, workspace=workspace), noise)
 
 
-def reverse_walk(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    """All T reverse steps from the noise rows ``x`` to data space."""
+def reverse_walk(model: TrainedModel, x: np.ndarray,
+                 workspace: EvalWorkspace | None = None) -> np.ndarray:
+    """All T reverse steps from the noise rows ``x`` to data space.
+
+    The walk runs in ``workspace`` (by default a new one for ``x``'s rows),
+    and its result is the workspace's input columns, valid until it is next
+    used.
+    """
+    if workspace is None:
+        workspace = EvalWorkspace(model.generator, x.shape[0])
     betas = cosine_beta_schedule(model.config.steps)
     _, reverse = VARIANTS[model.kind]
+    x = workspace.load(x)
     for t_index in reversed(range(model.config.steps)):
-        y, _ = model.generator.forward(x, mode="eval")
-        x = reverse(x, y, float(betas[t_index]), model.spans)
+        reverse(x, workspace.run(x.shape[0]), float(betas[t_index]), model.spans)
     return x

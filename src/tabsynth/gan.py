@@ -11,7 +11,9 @@ runs the generator updates.  ``GanConfig`` adds the two learning rates, the
 critic cadence, the latent size and the clamp to the shared options of
 ``privacy.ModelConfig``, which checks their ranges.  Sampling draws every
 row's latent at once and runs the generator over 1,024-row blocks
-(``nn.map_rows``), as ``diffusion`` does, with the same bytes as one pass.
+(``nn.map_rows``), as ``diffusion`` does, with the same bytes as one pass:
+each block is copied into one ``nn.EvalWorkspace`` per call, sized to one
+block, whose pass writes every activation into buffers allocated once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 
 from .encoding import EncodedMatrix
 from .errors import ConfigError
-from .nn import AdamState, adam_step, build_critic, build_generator, map_rows
+from .nn import (ROW_BLOCK, AdamState, EvalWorkspace, adam_step, build_critic, build_generator,
+                 map_rows)
 from .privacy import ModelConfig, TrainedModel, TrainingDriver
 
 DPWGAN = "dpwgan"
@@ -88,4 +91,4 @@ def sample_gan(model: TrainedModel, rows: int, rng: np.random.Generator) -> np.n
     if rows < 1:
         raise ConfigError(f"need at least one row, got {rows}")
     z = rng.standard_normal((rows, model.config.latent_dim))
-    return map_rows(lambda block: model.generator.forward(block, mode="eval")[0], z)
+    return map_rows(EvalWorkspace(model.generator, min(rows, ROW_BLOCK)), z)

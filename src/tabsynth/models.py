@@ -28,7 +28,7 @@ from .diffusion import VARIANTS, DiffusionConfig, sample_diffusion, train_diffus
 from .encoding import EncodedMatrix, column_spans, decode
 from .errors import BundleError, ConfigError
 from .gan import DPWGAN, GanConfig, sample_gan, train_dpwgan
-from .nn import AdamState, Network
+from .nn import AdamState, Network, check_generator
 from .privacy import PrivacyParams, TrainedModel
 from .schema import RawTable, TableSchema
 
@@ -213,6 +213,7 @@ def model_from_dict(payload: dict) -> TrainedModel:
         epsilon_spent = _checked_epsilon(payload, config.privacy, ledger)
         seed = _count_from_json(payload["seed"], "seed")
         generator, adam = _network_from_json(payload, version)
+        check_generator(generator)
         critic, adam_critic = (_network_from_json(payload["critic"], version, "critic.")
                                if kind == DPWGAN else (None, None))
         return TrainedModel(kind, schema, spans, config, seed, generator, adam, ledger,

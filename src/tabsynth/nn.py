@@ -10,6 +10,9 @@ returns the input gradient and, for a Dense or GroupNorm layer, appends a
 parameter gradients are built from.  ``Layer.backward`` turns pairs into
 the batch-mean gradient or the (batch, n_params) per-sample matrix, the
 reference the ghost norms of ``privacy.ghost_clip`` are tested against.
+Sampling runs a generator through an ``EvalWorkspace``, whose passes write
+every activation into buffers allocated once; ``Network.forward`` in eval
+mode is its reference.
 Determinism matters more than speed: given the same seed, forward,
 backward and initialization are bit-reproducible.
 """
@@ -23,13 +26,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Rows per block of ``map_rows``.  A block of the widest activations the
-# generators make (456 columns at 200 encoded features) is 3.7 MB, which
-# glibc reuses from one pass to the next; 10,000 such rows (36.5 MB) are
-# past glibc's largest mmap threshold (32 MB), so every pass would map
-# them fresh and page-fault them in.  Smaller blocks send OpenBLAS down
-# other kernel paths: 512 rows changed samples by 9.7e-15, while 1,024
-# gave bytes identical to one pass over every row.
+# Rows per block of ``map_rows``, and so of a sampling call's
+# ``EvalWorkspace``.  The workspace is allocated once per call and every
+# pass of every block runs through its buffers, so the activations take one
+# block's memory (6.3 MB for the benchmark's widest generator, 200 encoded
+# features: 456 activation, 128 hidden and 200 output columns) and no pass
+# allocates or faults in a fresh activation array, however many rows are
+# asked for.  Smaller blocks send OpenBLAS down other kernel paths: 512 rows
+# changed samples by 9.7e-15, while 1,024 gave bytes identical to one pass
+# over every row.
 ROW_BLOCK = 1024
 
 
@@ -37,7 +42,8 @@ def map_rows(fn, x: np.ndarray) -> np.ndarray:
     """``fn`` over consecutive ``ROW_BLOCK``-row slices of ``x``, in one array.
 
     Valid for any ``fn`` whose output row i depends on input row i alone,
-    as every network here computes: no layer mixes samples.
+    as every network here computes: no layer mixes samples.  ``fn``'s result
+    is copied out before its next call, so it may be a workspace's buffer.
     """
     first = fn(x[:ROW_BLOCK])
     out = np.empty((x.shape[0],) + first.shape[1:])
@@ -220,15 +226,16 @@ class GroupNorm(Layer):
     single group (plain layer norm).  Statistics never cross samples, so
     per-sample gradients stay exact.
 
-    The kernels are one-pass over each group of k channels.  ``forward``
+    The kernels are one-pass over each group of k channels.  ``normalize``
     centres once with the group ``sum / k``, takes the variance of the
-    centred values with one ``einsum`` and scales them to x̂ in place.
+    centred values with one ``einsum`` and scales them to x̂ in place; it is
+    the statistics of ``forward`` and of ``EvalWorkspace``'s passes.
     ``backward_pairs`` forms ĝ = gy·γ and subtracts its group mean and
     x̂⟨ĝ, x̂⟩/k, both reduced once, before scaling by 1/σ in place.  Only
-    arrays a kernel allocated itself are written in place: the input, the
-    incoming gradient and the cached ``(xhat, inv_std)`` are never written
-    after ``forward`` returns, because ``backward_pairs`` hands ``xhat`` and
-    ``gy`` on to ``privacy.ghost_clip``.
+    arrays a kernel allocated itself, or was handed as ``out``, are written
+    in place: the input, the incoming gradient and the cached
+    ``(xhat, inv_std)`` are never written after ``forward`` returns, because
+    ``backward_pairs`` hands ``xhat`` and ``gy`` on to ``privacy.ghost_clip``.
     """
 
     EPS = 1e-5
@@ -245,19 +252,23 @@ class GroupNorm(Layer):
     def init_params(self, rng):
         return np.concatenate([np.ones(self.channels), np.zeros(self.channels)])
 
-    def forward(self, p, x, mode, rng):
-        gamma = p[: self.channels]
-        delta = p[self.channels :]
+    def normalize(self, x: np.ndarray, out: np.ndarray | None = None):
+        """x̂ of the (batch, channels) ``x`` into ``out`` (a new array by
+        default; ``out=x`` normalizes in place), and 1/σ, (batch, groups, 1)."""
         b = x.shape[0]
         k = self.channels // self.groups
         xg = x.reshape(b, self.groups, k)
-        centred = xg - xg.sum(axis=2, keepdims=True) / k
+        centred = np.subtract(xg, xg.sum(axis=2, keepdims=True) / k,
+                              out=None if out is None else out.reshape(b, self.groups, k))
         var = np.einsum("bgk,bgk->bg", centred, centred) / k
         inv_std = (1.0 / np.sqrt(var + self.EPS))[:, :, None]
         centred *= inv_std
-        xhat = centred.reshape(b, self.channels)
-        y = xhat * gamma
-        y += delta
+        return centred.reshape(b, self.channels), inv_std
+
+    def forward(self, p, x, mode, rng):
+        xhat, inv_std = self.normalize(x)
+        y = xhat * p[: self.channels]
+        y += p[self.channels :]
         return y, (xhat, inv_std)
 
     def backward_pairs(self, p, cache, gy, start, pairs):
@@ -455,6 +466,75 @@ def build_generator(in_dim: int, out_dim: int, rng: np.random.Generator,
         dim = block.out_dim
     layers.append(Dense(dim, out_dim))
     return Network(layers, rng=rng)
+
+
+def check_generator(net: Network) -> None:
+    """Raise ValueError unless ``net`` is zero or more chained
+    ``ResidualConcatBlock``s and one ``Dense`` head, the layout that
+    ``build_generator`` makes and ``EvalWorkspace`` runs."""
+    layers = net.layers
+    if not (layers and isinstance(layers[-1], Dense)
+            and all(isinstance(layer, ResidualConcatBlock) for layer in layers[:-1])
+            and all(a.out_dim == b.in_dim for a, b in zip(layers, layers[1:]))):
+        types = [spec["type"] for spec in net.layer_specs()]
+        raise ValueError(f"a generator is chained residual_concat blocks and a dense "
+                         f"head, not {types}")
+
+
+class EvalWorkspace:
+    """A generator's eval-mode pass over at most ``rows`` rows, through
+    buffers allocated once and reused by every pass.
+
+    ``acts`` holds the input in its first columns and each block's ReLU
+    output in its next ``width``: a block's Dense reads the prefix before
+    its own columns, so no block concatenates, and the head reads them all.
+    ``hidden`` takes a block's matrix product, then its bias, GroupNorm and
+    affine transform in place; ``out`` takes the head's output.  These are
+    the numpy operations of ``Network.forward(mode="eval")`` in the same
+    order, so the output has the same bytes.  The next pass overwrites the
+    output and may overwrite the input columns.
+    """
+
+    def __init__(self, net: Network, rows: int):
+        check_generator(net)
+        self.net = net
+        *blocks, self.head = net.layers
+        self.blocks = list(zip(blocks, net.stack.slices))
+        self.in_dim = net.layers[0].in_dim
+        self.acts = np.empty((rows, self.head.in_dim))
+        self.hidden = np.empty(rows * max((block.width for block in blocks), default=0))
+        self.out = np.empty(rows * self.head.out_dim)
+
+    def load(self, x: np.ndarray) -> np.ndarray:
+        """Copy ``x`` into the input columns; returns them, for a caller that
+        updates its rows in place between passes."""
+        inputs = self.acts[: x.shape[0], : self.in_dim]
+        inputs[...] = x
+        return inputs
+
+    def run(self, rows: int) -> np.ndarray:
+        """One pass over the first ``rows`` rows of the input columns;
+        returns the head's output."""
+        params, acts = self.net.params, self.acts[:rows]
+        for block, sl in self.blocks:
+            dense, norm, _ = block.inner.layers
+            dense_params, norm_params = (params[sl][s] for s in block.inner.slices[:2])
+            h = self.hidden[: rows * block.width].reshape(rows, block.width)
+            w, b = dense._weights(dense_params)
+            np.matmul(acts[:, : block.in_dim], w.T, out=h)
+            h += b
+            norm.normalize(h, out=h)
+            h *= norm_params[: norm.channels]
+            h += norm_params[norm.channels :]
+            np.maximum(h, 0.0, out=acts[:, block.in_dim : block.out_dim])
+        y = self.out[: rows * self.head.out_dim].reshape(rows, self.head.out_dim)
+        w, b = self.head._weights(params[self.net.stack.slices[-1]])
+        np.matmul(acts, w.T, out=y)
+        y += b
+        return y
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.run(self.load(x).shape[0])
 
 
 def build_critic(in_dim: int, rng: np.random.Generator, hidden: int = 256,

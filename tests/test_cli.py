@@ -312,6 +312,9 @@ def test_exit_codes_for_bad_configuration(tmp_path, data_csv):
     (["--epsilon", "1", "--sigma", "-1"], "noise multiplier"),
     (["--epsilon", "1", "--clip", "0"], "clipping norm"),
     (["--epsilon", "1", "--delta", "2"], "delta"),
+    (["--sigma", "-1"], "noise multiplier"),
+    (["--clip", "0"], "clipping norm"),
+    (["--delta", "2"], "delta"),
 ])
 def test_a_bad_privacy_option_exits_1_before_the_data_is_read(tmp_path, capsys, flags, named):
     assert main(["train", "--data", str(tmp_path / "nope.csv"),

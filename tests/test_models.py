@@ -22,6 +22,7 @@ from tabsynth.models import (
     save_bundle,
     train_model,
 )
+from tabsynth.nn import Dense, Network, Relu
 from tabsynth.privacy import PrivacyParams
 from tabsynth.schema import ColumnKind, ColumnSchema, RawTable, TableSchema
 
@@ -270,6 +271,16 @@ def test_load_rejects_bad_payloads():
     bad_layer = dict(payload, layer_specs=[{"type": "mystery"}])
     with pytest.raises(BundleError):
         model_from_dict(bad_layer)
+
+    # A network that is not a generator, with matching parameter and moment
+    # counts: the sampler runs only chained blocks and a dense head.
+    width = SCHEMA.encoded_width
+    net = Network([Dense(width, 3), Relu(), Dense(3, width)], rng=np.random.default_rng(0))
+    zeros = _b64(np.zeros(net.n_params))
+    not_a_generator = dict(payload, layer_specs=net.layer_specs(), parameters=_b64(net.params),
+                           adam=dict(payload["adam"], m=zeros, v=zeros))
+    with pytest.raises(BundleError, match="generator"):
+        model_from_dict(not_a_generator)
 
 
 def test_sample_table_decodes_into_schema(tmp_path):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from tabsynth.nn import (
+    ROW_BLOCK,
     AdamState,
     Dense,
     Dropout,
+    EvalWorkspace,
     GroupNorm,
     LeakyRelu,
     Network,
@@ -16,7 +18,9 @@ from tabsynth.nn import (
     adam_step,
     build_critic,
     build_generator,
+    check_generator,
     layer_from_spec,
+    map_rows,
 )
 
 
@@ -293,6 +297,66 @@ def test_network_validates_parameter_length():
         Network([Dense(3, 2)])
     with pytest.raises(ValueError):
         layer_from_spec({"type": "warp_core"})
+
+
+def _generator(layers, seed):
+    """A generator with random parameters everywhere, biases and affine too."""
+    net = Network(layers, rng=np.random.default_rng(seed))
+    net.params = np.random.default_rng(seed + 1).normal(0.0, 0.5, size=net.n_params)
+    return net
+
+
+# 0, 1 and 2 blocks; width 12 is a single GroupNorm group, width 16 eight;
+# the last generator's blocks differ in width.
+GENERATORS = {
+    "head_only": lambda: [Dense(6, 4)],
+    "one_block_of_width_12": lambda: [ResidualConcatBlock(6, 12), Dense(18, 4)],
+    "two_blocks_of_width_16": lambda: [ResidualConcatBlock(6, 16), ResidualConcatBlock(22, 16),
+                                       Dense(38, 4)],
+    "widths_16_then_12": lambda: [ResidualConcatBlock(6, 16), ResidualConcatBlock(22, 12),
+                                  Dense(34, 4)],
+}
+
+
+@pytest.mark.parametrize("make", GENERATORS.values(), ids=GENERATORS.keys())
+@pytest.mark.parametrize("rows", [7, 2 * ROW_BLOCK + 37])
+def test_eval_workspace_is_the_eval_forward_bit_for_bit(make, rows):
+    # Fewer rows than a block, and two full blocks and a tail block that
+    # runs through the first rows of the same workspace.
+    net = _generator(make(), seed=rows)
+    x = np.random.default_rng(3).normal(size=(rows, 6))
+    out = map_rows(EvalWorkspace(net, min(rows, ROW_BLOCK)), x)
+    for start in range(0, rows, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        np.testing.assert_array_equal(out[block], net.forward(x[block], mode="eval")[0])
+
+
+@pytest.mark.parametrize("make", GENERATORS.values(), ids=GENERATORS.keys())
+def test_one_eval_workspace_keeps_no_state_between_calls(make):
+    net = _generator(make(), seed=5)
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(40, 6)), rng.normal(size=(40, 6))
+    workspace = EvalWorkspace(net, 40)
+    first = workspace(a).copy()
+    np.testing.assert_array_equal(workspace(b), net.forward(b, mode="eval")[0])
+    np.testing.assert_array_equal(workspace(b[:3]), net.forward(b[:3], mode="eval")[0])
+    np.testing.assert_array_equal(workspace(a), first)
+
+
+@pytest.mark.parametrize("layers", [
+    [],
+    [Dense(6, 4), Relu(), Dense(4, 6)],
+    [ResidualConcatBlock(6, 8)],
+    [ResidualConcatBlock(6, 8), Dense(6, 4)],
+    [Dense(6, 4), Dense(4, 4)],
+], ids=["empty", "dense_relu_dense", "no_head", "unchained_head", "dense_before_the_head"])
+def test_eval_workspace_runs_only_chained_blocks_and_a_dense_head(layers):
+    net = Network(layers, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="generator"):
+        check_generator(net)
+    with pytest.raises(ValueError, match="generator"):
+        EvalWorkspace(net, 4)
+    check_generator(build_generator(6, 4, np.random.default_rng(0), width=8, blocks=2))
 
 
 def test_adam_first_step_is_signed_lr():
