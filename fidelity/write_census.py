@@ -24,7 +24,7 @@ def main() -> None:
     table = census_table(10_000)
     write_table(table, HERE / "census.csv")
     save_schema(table.schema, HERE / "census.schema.json")
-    print(f"wrote {len(table.rows)} rows to {HERE / 'census.csv'} "
+    print(f"wrote {table.n_rows} rows to {HERE / 'census.csv'} "
           f"and its schema to {HERE / 'census.schema.json'}")
 
 

@@ -107,10 +107,10 @@ def load_plan(path: str | Path) -> BenchmarkPlan:
 def load_plan_dataset(spec: DatasetSpec) -> RawTable:
     schema = load_schema(spec.schema_path) if spec.schema_path else None
     table = load_table(spec.path, schema)
-    if spec.subsample is not None and spec.subsample < len(table.rows):
-        keep = np.random.default_rng(_SUBSAMPLE_SEED).choice(
-            len(table.rows), size=spec.subsample, replace=False)
-        table = RawTable(table.schema, [table.rows[i] for i in sorted(keep)])
+    if spec.subsample is not None and spec.subsample < table.n_rows:
+        keep = np.sort(np.random.default_rng(_SUBSAMPLE_SEED).choice(
+            table.n_rows, size=spec.subsample, replace=False))
+        table = RawTable.from_columns(table.schema, [column[keep] for column in table.columns])
     return table
 
 
@@ -137,9 +137,9 @@ def run_cell(table: RawTable, model_kind: str, epsilon, seed: int,
     config = _cell_config(model_kind, options)
     privacy = build_privacy(epsilon, delta, options.get("sigma"),
                             options.get("clip_norm", DEFAULT_CLIP_NORM), config.batch_target,
-                            len(table.rows))
+                            table.n_rows)
     model = train_model(encode(table), replace(config, privacy=privacy), seed)
-    synth = sample_table(model, len(table.rows), seed=seed + 1)
+    synth = sample_table(model, table.n_rows, seed=seed + 1)
     meta = {"model": model_kind, "epsilon_target": epsilon, "seed": seed,
             "epsilon_spent": model.epsilon_spent, "steps": model.ledger.steps_taken}
     return evaluate(table, synth, metadata=meta)

@@ -123,7 +123,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if config.batch_target not in _GOOD_BATCHES:
         print(f"warning: batch size {config.batch_target} is outside the tuned range 2^6..2^11",
               file=sys.stderr)
-    privacy = build_privacy(epsilon, delta, sigma, clip, config.batch_target, len(table.rows))
+    privacy = build_privacy(epsilon, delta, sigma, clip, config.batch_target, table.n_rows)
     model = train_model(encode(table), replace(config, privacy=privacy), seed)
     out = Path(cfg.get("out") or "model.json")
     save_bundle(model, out)

@@ -1,10 +1,12 @@
 """Reversible table <-> matrix transforms used by every model and metric.
 
-Categorical columns become full-width one-hot blocks (binary columns
-included, so every label owns an indicator).  Continuous columns are
-min-max scaled into [0, 1].  Decoding inverts both: argmax over each
-one-hot block (first index wins on ties) and clamp-then-rescale for
-continuous values, with rounding for integer-valued columns.
+Both directions work on a ``RawTable``'s typed columns.  Categorical
+columns become full-width one-hot blocks (binary columns included, so every
+label owns an indicator), set from their vocabulary codes.  Continuous
+columns are min-max scaled into [0, 1].  Decoding inverts both: argmax over
+each one-hot block (first index wins on ties) gives the codes, and
+clamp-then-rescale the continuous values, with rounding for integer-valued
+columns.
 """
 
 from __future__ import annotations
@@ -53,27 +55,21 @@ class EncodedMatrix:
         return self.values.shape[1]
 
 
-def _label_positions(vocabulary: tuple[str, ...], cells) -> np.ndarray:
-    """Position of each cell's label in ``vocabulary``, as int64."""
-    index = {label: i for i, label in enumerate(vocabulary)}
-    return np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
-
-
 def encode(table: RawTable) -> EncodedMatrix:
     """Encode a validated table into a float64 matrix."""
     table.validate()
     schema = table.schema
     spans = column_spans(schema)
     out = np.zeros((table.n_rows, schema.encoded_width), dtype=np.float64)
+    rows = np.arange(table.n_rows)
 
-    for col, span, cells in zip(schema.columns, spans, zip(*table.rows)):
+    for col, span, column in zip(schema.columns, spans, table.columns):
         if col.kind is ColumnKind.CATEGORICAL:
-            hot = _label_positions(col.vocabulary, cells)
-            out[np.arange(len(cells)), span.start + hot] = 1.0
+            out[rows, span.start + column] = 1.0
         else:
             width = col.maximum - col.minimum
             if width:  # a constant column keeps the 0.0 of np.zeros
-                out[:, span.start] = (np.asarray(cells, dtype=np.float64) - col.minimum) / width
+                out[:, span.start] = (column - col.minimum) / width
     return EncodedMatrix(out, schema, spans)
 
 
@@ -97,17 +93,16 @@ def decode(values: np.ndarray, schema: TableSchema) -> RawTable:
     for col, span in zip(schema.columns, column_spans(schema)):
         block = values[:, span.start : span.stop]
         if col.kind is ColumnKind.CATEGORICAL:
-            picks = np.argmax(block, axis=1)
-            columns.append([col.vocabulary[i] for i in picks.tolist()])
+            columns.append(np.argmax(block, axis=1))
         else:
             span_width = col.maximum - col.minimum
             if span_width == 0.0:
-                columns.append([col.minimum] * n)
+                columns.append(np.full(n, col.minimum))
                 continue
             raw = np.clip(block[:, 0], 0.0, 1.0) * span_width + col.minimum
             # The affine map can round one ulp past the range; clamp it back.
             np.clip(raw, col.minimum, col.maximum, out=raw)
             if col.integer_valued:
                 raw = np.rint(raw)
-            columns.append(raw.tolist())
-    return RawTable(schema, list(zip(*columns)))
+            columns.append(raw)
+    return RawTable.from_columns(schema, columns)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import EncodedMatrix, _label_positions, encode
+from .encoding import EncodedMatrix, encode
 from .errors import ConfigError, DegenerateDataError, SchemaError
 from .schema import ColumnKind, RawTable
 
@@ -270,11 +270,10 @@ def _marginal_distance(real: RawTable, synth: RawTable):
     """``marginal_distance`` of two tables already validated on one schema."""
     per_feature = []
     dropped_total = 0
-    for col, rv, sv in zip(real.schema.columns, zip(*real.rows), zip(*synth.rows)):
+    for col, rv, sv in zip(real.schema.columns, real.columns, synth.columns):
         if col.kind is ColumnKind.CATEGORICAL:
-            counts = [np.bincount(_label_positions(col.vocabulary, cells), minlength=col.width)
-                      for cells in (rv, sv)]
-            dist, dropped = _chi2_distance_dropped(*counts)
+            dist, dropped = _chi2_distance_dropped(np.bincount(rv, minlength=col.width),
+                                                   np.bincount(sv, minlength=col.width))
             dropped_total += dropped
         else:
             dist = ks_distance(rv, sv)
@@ -436,14 +435,14 @@ def evaluate(real: RawTable, synth: RawTable, metadata: dict | None = None) -> F
     if real.schema != synth.schema:
         raise SchemaError("evaluate: schema mismatch")
     mr = encode(real)
-    ms = encode(RawTable(real.schema, synth.rows))
+    ms = encode(synth)
     ratio = pmse_ratio(mr, ms)
     md, per_feature, dropped = _marginal_distance(real, synth)  # encode validated both
     curves = precision_recall_curves(mr, ms)
     a_int, b_int, area = auprc(curves)
     meta = {
-        "n_real": len(real.rows),
-        "n_synth": len(synth.rows),
+        "n_real": real.n_rows,
+        "n_synth": synth.n_rows,
         "pmse_d": mr.values.shape[1] + 1,
         "support": "mean-centered-hypersphere",
         "kld_direction": "KL(true || predicted)",

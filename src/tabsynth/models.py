@@ -10,8 +10,8 @@ little-endian float64 bytes, so a load restores every value bit for bit and
 save -> load -> sample reproduces the exact bytes that sampling before the
 save would have produced. Version 1 bundles, which hold those arrays as JSON
 number lists, still load. A load lays the column spans out from the stored
-schema and rejects a bundle whose stored spans, or diffusion ``variant``,
-disagree with its schema and ``kind``.
+schema and rejects a bundle whose stored spans, diffusion ``variant`` or
+network widths disagree with its schema and ``kind``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .diffusion import VARIANTS, DiffusionConfig, sample_diffusion, train_diffus
 from .encoding import EncodedMatrix, column_spans, decode
 from .errors import BundleError, ConfigError
 from .gan import DPWGAN, GanConfig, sample_gan, train_dpwgan
-from .nn import AdamState, Network, check_generator
+from .nn import AdamState, Dense, Network, ResidualConcatBlock, check_generator
 from .privacy import PrivacyParams, TrainedModel
 from .schema import RawTable, TableSchema
 
@@ -179,6 +179,16 @@ def _network_from_json(payload: dict, version: int,
     return network, _adam_from_json(payload["adam"], version, network.n_params, where)
 
 
+def _check_widths(net: Network, source: int, target: int, what: str) -> None:
+    """Raise BundleError unless the network's Dense and residual layers
+    chain ``source`` features to ``target``."""
+    dims = [(layer.in_dim, layer.out_dim) for layer in net.layers
+            if isinstance(layer, (Dense, ResidualConcatBlock))]
+    if [d for d, _ in dims] != [source, *(d for _, d in dims[:-1])] or dims[-1][1] != target:
+        raise BundleError(f"{what} layers map {dims} features, not a chain "
+                          f"from {source} to {target}")
+
+
 def _checked_epsilon(payload: dict, privacy: PrivacyParams | None,
                      ledger: RdpLedger) -> float | None:
     """The stored epsilon_spent, once it agrees with the ledger and the stored
@@ -214,8 +224,13 @@ def model_from_dict(payload: dict) -> TrainedModel:
         seed = _count_from_json(payload["seed"], "seed")
         generator, adam = _network_from_json(payload, version)
         check_generator(generator)
-        critic, adam_critic = (_network_from_json(payload["critic"], version, "critic.")
-                               if kind == DPWGAN else (None, None))
+        width = schema.encoded_width
+        _check_widths(generator, config.latent_dim if kind == DPWGAN else width, width,
+                      "generator")
+        critic, adam_critic = None, None
+        if kind == DPWGAN:
+            critic, adam_critic = _network_from_json(payload["critic"], version, "critic.")
+            _check_widths(critic, width, 1, "critic")
         return TrainedModel(kind, schema, spans, config, seed, generator, adam, ledger,
                             epsilon_spent, halted_on_budget=None, critic=critic,
                             adam_critic=adam_critic)

@@ -5,6 +5,11 @@ A table is described column by column: each column is either categorical
 optionally integer valued).  Schemas are either inferred from the data or
 supplied as JSON; once fitted they are frozen and travel with every
 encoded matrix, model bundle and report so that decoding is unambiguous.
+
+A ``RawTable`` holds its cells as typed columns: float64 arrays, and int64
+codes into each categorical column's vocabulary.  Parsing converts and
+checks each CSV column once, straight into that form, and writing formats
+each column once from it.
 """
 
 from __future__ import annotations
@@ -13,10 +18,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ParseError, SchemaError
 
@@ -139,52 +146,83 @@ class TableSchema:
                 integer_valued = entry.get("integer_valued", False)
                 if not isinstance(integer_valued, bool):
                     raise ParseError(f"schema JSON column {name!r}: integer_valued must be true or false")
-                cols.append(
-                    ColumnSchema(
-                        name,
-                        kind,
-                        minimum=lo,
-                        maximum=hi,
-                        integer_valued=integer_valued,
-                    )
-                )
+                cols.append(ColumnSchema(name, kind, minimum=lo, maximum=hi,
+                                         integer_valued=integer_valued))
         return TableSchema(tuple(cols))
 
 
-@dataclass
 class RawTable:
-    """A parsed table: string cells for categorical columns, floats otherwise."""
+    """A table as typed columns, in schema order: a float64 array per
+    continuous column, an int64 array of codes into ``vocabulary`` per
+    categorical one.  ``RawTable(schema, rows)`` takes row tuples of labels
+    and floats and builds the columns, checking every cell, when they are
+    first read; ``from_columns`` takes them built.  ``rows`` is the rows
+    given, or else labels and Python floats derived from the columns.  A
+    table's cells do not change once it is built.
+    """
 
-    schema: TableSchema
-    rows: list[tuple] = field(default_factory=list)
+    def __init__(self, schema: TableSchema, rows: list[tuple] | None = None):
+        self.schema = schema
+        self._rows = [] if rows is None else rows
+        self._columns: list[np.ndarray] | None = None
+
+    @classmethod
+    def from_columns(cls, schema: TableSchema, columns) -> "RawTable":
+        table = cls(schema)
+        table._rows, table._columns = None, list(columns)
+        return table
+
+    @property
+    def columns(self) -> list[np.ndarray]:
+        if self._columns is None:
+            self.validate()
+        return self._columns
+
+    @property
+    def rows(self) -> list[tuple]:
+        if self._rows is None:
+            self._rows = list(zip(*map(_cells, self.schema.columns, self._columns)))
+        return self._rows
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self._rows) if self._columns is None else len(self._columns[0])
 
     def validate(self) -> None:
-        """Check every cell against the schema; raises SchemaError on violation."""
-        if not self.rows:
+        """Check every cell against the schema; raises SchemaError on violation.
+        A row-built table's rows become its typed columns here."""
+        if not self.n_rows:
             raise SchemaError("table has no rows")
-        width = len(self.schema.columns)
-        short = (None if set(map(len, self.rows)) == {width}
-                 else next(r for r, row in enumerate(self.rows) if len(row) != width))
+        if self._columns is not None:
+            for _ in _checked_columns(self.schema.names, self._columns,
+                                      map(_array_rule, self.schema.columns)):
+                pass
+            return
+        rows, width = self._rows, len(self.schema.columns)
+        short = (None if set(map(len, rows)) == {width}
+                 else next(r for r, row in enumerate(rows) if len(row) != width))
         # A bad cell above the first row of the wrong length is reported first.
-        for _ in _checked_columns(self.schema.names, zip(*self.rows[:short]),
-                                  _cell_rules(self.schema, text=False)):
-            pass
+        columns = list(_checked_columns(self.schema.names, zip(*rows[:short]),
+                                        _cell_rules(self.schema, text=False)))
         if short is not None:
-            raise SchemaError(f"row {short} has {len(self.rows[short])} cells, expected {width}")
+            raise SchemaError(f"row {short} has {len(rows[short])} cells, expected {width}")
+        self._columns = columns
+
+
+def _cells(col: ColumnSchema, column: np.ndarray) -> list:
+    """A typed column's cells as a row holds them: labels, or Python floats."""
+    if col.kind is ColumnKind.CATEGORICAL:
+        return list(map(col.vocabulary.__getitem__, column.tolist()))
+    return column.tolist()
 
 
 def _parse_csv_text(text: str) -> tuple[list[str], list[list[str]]]:
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        rows = list(reader)
+        # A trailing newline yields no extra row; fully blank lines inside are junk.
+        rows = list(filter(None, reader))
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}") from exc
-    # A trailing newline yields no extra row; fully blank lines inside are junk.
-    rows = [r for r in rows if r != []]
     if not rows:
         raise ParseError("empty input: no header row")
     header, body = rows[0], rows[1:]
@@ -192,9 +230,9 @@ def _parse_csv_text(text: str) -> tuple[list[str], list[list[str]]]:
         raise ParseError("blank column name in header")
     if len(set(header)) != len(header):
         raise ParseError("duplicate column names in header")
-    for i, row in enumerate(body):
-        if len(row) != len(header):
-            raise ParseError(f"row {i} has {len(row)} cells, expected {len(header)}")
+    if set(map(len, body)) - {len(header)}:
+        i, row = next((i, row) for i, row in enumerate(body) if len(row) != len(header))
+        raise ParseError(f"row {i} has {len(row)} cells, expected {len(header)}")
     return header, body
 
 
@@ -218,25 +256,29 @@ def infer_schema(text: str, overrides: dict[str, ColumnKind] | None = None) -> T
     return _infer_from_rows(header, body, overrides)[0]
 
 
-def _finite_numbers(cells) -> list[float] | None:
+def _finite_numbers(cells) -> np.ndarray | None:
     """Every cell as a float, or None if any cell is not a finite number."""
     try:
-        numbers = list(map(float, cells))
+        numbers = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
     except ValueError:
         return None
-    return numbers if all(map(math.isfinite, numbers)) else None
+    return numbers if np.isfinite(numbers).all() else None
 
 
-def _known_labels(vocabulary: tuple[str, ...], cells):
+def _label_codes(vocabulary: tuple[str, ...], cells) -> np.ndarray | None:
+    """Each cell's position in ``vocabulary``, or None if a cell is no label."""
+    index = {label: i for i, label in enumerate(vocabulary)}
     try:
-        return cells if set(vocabulary).issuperset(cells) else None
-    except TypeError:  # an unhashable cell is no label
+        return np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
+    except (KeyError, TypeError):  # an unknown, or unhashable, cell is no label
         return None
 
 
-def _finite_floats(cells):
-    floats = all(issubclass(t, float) for t in set(map(type, cells)))
-    return cells if floats and all(map(math.isfinite, cells)) else None
+def _finite_floats(cells) -> np.ndarray | None:
+    if not all(issubclass(t, float) for t in set(map(type, cells))):
+        return None
+    numbers = np.fromiter(cells, dtype=np.float64, count=len(cells))
+    return numbers if np.isfinite(numbers).all() else None
 
 
 _TEXT_NUMBER = (_finite_numbers, lambda cell: _try_float(cell) is not None, ParseError,
@@ -245,20 +287,32 @@ _TYPED_FLOAT = (_finite_floats, lambda cell: isinstance(cell, float) and math.is
                 SchemaError, "non-finite value {!r}")
 
 
+def _array_rule(col: ColumnSchema):
+    """A typed column's rule (see ``_cell_rules``): finite numbers, or codes
+    into the vocabulary."""
+    if col.kind is ColumnKind.CATEGORICAL:
+        def good(codes):
+            return (codes >= 0) & (codes < col.width)
+        message = "code {} not in vocabulary"
+    else:
+        good, message = np.isfinite, "non-finite value {}"
+    return (lambda column: column if good(column).all() else None), good, SchemaError, message
+
+
 def _cell_rules(schema: TableSchema, text: bool) -> list:
     """Each column's rule for CSV text or typed cells: (bulk check giving the
-    column's values or None, one-cell check, error type, message)."""
+    column as a typed array or None, one-cell check, error type, message)."""
     number = _TEXT_NUMBER if text else _TYPED_FLOAT
-    return [(partial(_known_labels, col.vocabulary), col.vocabulary.__contains__, SchemaError,
+    return [(partial(_label_codes, col.vocabulary), col.vocabulary.__contains__, SchemaError,
              "label {!r} not in vocabulary") if col.kind is ColumnKind.CATEGORICAL else number
             for col in schema.columns]
 
 
 def _checked_columns(names, columns, rules):
-    """Yield each column as its rule's bulk check returns it, one at a time,
-    so a caller that only checks never holds every column at once.  A column
-    that fails is walked to its first bad cell; after the last column the
-    error names the smallest (row, column) of those: the row-major first bad cell."""
+    """Yield each column as its rule's bulk check returns it, one at a time.
+    A column that fails is walked to its first bad cell; after the last
+    column the error names the smallest (row, column) of those: the
+    row-major first bad cell."""
     first_bad = None
     for name, cells, (bulk, good, error, message) in zip(names, columns, rules):
         values = bulk(cells)
@@ -271,10 +325,24 @@ def _checked_columns(names, columns, rules):
         raise first_bad[1]
 
 
+def _distinct(numbers: np.ndarray) -> int:
+    """``len(set(numbers))``: sorted, equal floats sit side by side, 0.0 and
+    -0.0 among them.  (``np.unique`` would import ``numpy.ma`` on first use.)"""
+    ordered = np.sort(numbers)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
+def _first_extreme(numbers: np.ndarray, extreme) -> float:
+    """Python's ``min`` or ``max`` of the numbers: the first cell equal to
+    the extreme, so of 0.0 and -0.0 the one met first (ndarray.min and max
+    may return either)."""
+    return float(numbers[(numbers == extreme(numbers)).argmax()])
+
+
 def _infer_from_rows(header: list[str], body: list[list[str]],
                      overrides: dict[str, ColumnKind] | None = None):
-    """(schema, columns): each column's cells as the schema types them, the
-    floats inference converted for a continuous column, else the labels."""
+    """(schema, columns): each column typed as the schema types it, the
+    floats of a continuous column or the codes of a categorical one."""
     overrides = dict(overrides or {})
     if not body:
         raise ParseError("cannot infer a schema without data rows")
@@ -293,23 +361,18 @@ def _infer_from_rows(header: list[str], body: list[list[str]],
                 if forced is ColumnKind.CONTINUOUS:
                     raise
         numeric = numbers is not None and (forced is ColumnKind.CONTINUOUS
-                                           or len(set(numbers)) > MAX_NUMERIC_CATEGORIES)
+                                           or _distinct(numbers) > MAX_NUMERIC_CATEGORIES)
 
         if numeric:
-            columns.append(
-                ColumnSchema(
-                    name,
-                    ColumnKind.CONTINUOUS,
-                    minimum=min(numbers),
-                    maximum=max(numbers),
-                    integer_valued=all(map(float.is_integer, numbers)),
-                )
-            )
+            columns.append(ColumnSchema(name, ColumnKind.CONTINUOUS,
+                                        minimum=_first_extreme(numbers, np.min),
+                                        maximum=_first_extreme(numbers, np.max),
+                                        integer_valued=bool((np.floor(numbers) == numbers).all())))
             values.append(numbers)
         else:
             vocab = tuple(dict.fromkeys(cells))  # first-appearance order
             columns.append(ColumnSchema(name, ColumnKind.CATEGORICAL, vocabulary=vocab))
-            values.append(cells)
+            values.append(_label_codes(vocab, cells))
     return TableSchema(tuple(columns)), values
 
 
@@ -318,15 +381,13 @@ def parse_table(text: str, schema: TableSchema | None = None) -> RawTable:
     header, body = _parse_csv_text(text)
     if schema is None:
         # Inference has converted and typed every cell already.
-        schema, columns = _infer_from_rows(header, body)
-        return RawTable(schema, list(zip(*columns)))
+        return RawTable.from_columns(*_infer_from_rows(header, body))
     if list(header) != list(schema.names):
         raise SchemaError(f"header {header} does not match schema columns {list(schema.names)}")
     if not body:
         raise SchemaError("table has no rows")
-
-    columns = list(_checked_columns(schema.names, zip(*body), _cell_rules(schema, text=True)))
-    return RawTable(schema, list(zip(*columns)))
+    return RawTable.from_columns(schema, _checked_columns(schema.names, zip(*body),
+                                                          _cell_rules(schema, text=True)))
 
 
 def load_table(path: str | Path, schema: TableSchema | None = None) -> RawTable:
@@ -353,8 +414,8 @@ def table_to_text(table: RawTable) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(table.schema.names)
-    writer.writerows(zip(*(_column_text(c, cells)
-                           for c, cells in zip(table.schema.columns, zip(*table.rows)))))
+    writer.writerows(zip(*(_column_text(c, _cells(c, column))
+                           for c, column in zip(table.schema.columns, table.columns))))
     return out.getvalue()
 
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from tabsynth.cli import main
 from tabsynth.diffusion import DENOISER, NOISE_PREDICTOR, DiffusionConfig
 from tabsynth.encoding import encode
 from tabsynth.errors import BundleError, ConfigError
@@ -22,7 +23,7 @@ from tabsynth.models import (
     save_bundle,
     train_model,
 )
-from tabsynth.nn import Dense, Network, Relu
+from tabsynth.nn import Dense, Network, Relu, build_critic, build_generator
 from tabsynth.privacy import PrivacyParams
 from tabsynth.schema import ColumnKind, ColumnSchema, RawTable, TableSchema
 
@@ -248,7 +249,7 @@ def test_load_rejects_bad_files(tmp_path):
         load_bundle(path)
 
 
-def test_load_rejects_bad_payloads():
+def test_load_rejects_bad_payloads(tmp_path, capsys):
     payload = bundle_dict(diffusion_model())
 
     wrong_version = dict(payload, format_version=99)
@@ -281,6 +282,41 @@ def test_load_rejects_bad_payloads():
                            adam=dict(payload["adam"], m=zeros, v=zeros))
     with pytest.raises(BundleError, match="generator"):
         model_from_dict(not_a_generator)
+
+    # A generator of the right layout but the wrong widths, with matching
+    # parameter and moment counts: sampling it would fail on the schema.
+    for generator in (build_generator(width + 1, width + 1, np.random.default_rng(0), width=8,
+                                      blocks=1),
+                      build_generator(width, width + 1, np.random.default_rng(0), width=8,
+                                      blocks=1)):
+        wide = _with_network(payload, generator)
+        with pytest.raises(BundleError, match="generator layers"):
+            model_from_dict(wide)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(wide), encoding="utf-8")
+        assert main(["sample", "--model", str(path), "--rows", "5",
+                     "--out", str(tmp_path / "synth.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    # A DP-WGAN's generator maps latent_dim features, its critic the encoded width to 1.
+    gan = bundle_dict(gan_model())
+    assert model_from_dict(gan).critic is not None
+    latent = gan["config"]["latent_dim"]
+    from_encoded = _with_network(gan, build_generator(width, width, np.random.default_rng(0),
+                                                      width=8, blocks=1))
+    with pytest.raises(BundleError, match=f"generator layers .* from {latent} to {width}"):
+        model_from_dict(from_encoded)
+    wide_critic = dict(gan, critic=_with_network(
+        gan["critic"], build_critic(width + 1, np.random.default_rng(0), hidden=4)))
+    with pytest.raises(BundleError, match=f"critic layers .* from {width} to 1"):
+        model_from_dict(wide_critic)
+
+
+def _with_network(payload, net):
+    """The payload with ``net`` as its network, and zero Adam moments to match."""
+    zeros = _b64(np.zeros(net.n_params))
+    return dict(payload, layer_specs=net.layer_specs(), parameters=_b64(net.params),
+                adam=dict(payload["adam"], m=zeros, v=zeros))
 
 
 def test_sample_table_decodes_into_schema(tmp_path):

@@ -1,9 +1,11 @@
 """Property tests: every table tabsynth writes reads back, decode inverts encode,
-a bad cell is reported where a row-by-row scan first meets it, the ledger adds
-up, and a private step clips and noises as DP-SGD says."""
+typed columns give what row-built tables give, a bad cell is reported where a
+row-by-row scan first meets it, the ledger adds up, and a private step clips
+and noises as DP-SGD says."""
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tabsynth.accountant import accumulate_step, fresh_ledger, to_epsilon_delta
-from tabsynth.encoding import decode, encode
+from tabsynth.encoding import column_spans, decode, encode
 from tabsynth.errors import ParseError, SchemaError
 from tabsynth.nn import build_generator
 from tabsynth.privacy import PrivacyParams, clip_per_sample, dp_sgd_step, ghost_clip
@@ -82,6 +84,111 @@ def test_decode_inverts_encode(table):
 
 
 readable_text = st.text(st.characters(exclude_characters="\r\0"))
+zeros = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def number_columns(draw, n_rows):
+    """(cells, integer_valued) of a number column that mixes 0.0 and -0.0:
+    floats, integers, one constant, or distinct values of one sign with a
+    zero or two among them, so that a zero is the column's min or max."""
+    kind = draw(st.sampled_from(("floats", "integers", "constant", "one-signed")))
+    if kind == "constant":
+        return [draw(st.one_of(zeros, finite))] * n_rows, False
+    if kind == "one-signed":
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        magnitudes = st.floats(1e-300, 1e300)
+        cells = [sign * v for v in draw(st.lists(magnitudes, min_size=n_rows, max_size=n_rows,
+                                                 unique=True))]
+        for _ in range(draw(st.integers(0, 2))):
+            cells[draw(st.integers(0, n_rows - 1))] = draw(zeros)
+        return cells, False
+    element = st.integers(-2**48, 2**48).map(float) if kind == "integers" else finite
+    cells = draw(st.lists(st.one_of(zeros, element), min_size=n_rows, max_size=n_rows))
+    return cells, kind == "integers"
+
+
+@st.composite
+def reference_tables(draw):
+    """A valid row-built table of 1-40 rows: label columns and number columns
+    (see ``number_columns``), which inference may type either way."""
+    n_rows = draw(st.integers(1, 40))
+    columns, cells = [], []
+    for j in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            vocab = draw(st.lists(readable_text, min_size=1, max_size=4, unique=True))
+            cells.append(draw(st.lists(st.sampled_from(vocab), min_size=n_rows, max_size=n_rows)))
+            columns.append(ColumnSchema(f"c{j}", ColumnKind.CATEGORICAL, vocabulary=tuple(vocab)))
+            continue
+        values, integer = draw(number_columns(n_rows))
+        try:
+            columns.append(ColumnSchema(f"c{j}", ColumnKind.CONTINUOUS, minimum=min(values),
+                                        maximum=max(values), integer_valued=integer))
+        except SchemaError:  # a range wider than the largest float
+            assume(False)
+        cells.append(values)
+    return RawTable(TableSchema(tuple(columns)), list(zip(*cells)))
+
+
+def _row_parse(text, schema=None):
+    """The row-built table that CSV text holds, by Python's rules cell by
+    cell: ``float`` per number cell and, without a schema, inference by
+    ``set``, ``min``, ``max`` and ``float.is_integer`` over each column."""
+    header, *body = csv.reader(io.StringIO(text, newline=""))
+    if schema is None:
+        inferred = []
+        for name, cells in zip(header, zip(*body)):
+            try:
+                numbers = list(map(float, cells))
+            except ValueError:
+                numbers = [math.nan]
+            if all(map(math.isfinite, numbers)) and len(set(numbers)) > 20:
+                inferred.append(ColumnSchema(name, ColumnKind.CONTINUOUS, minimum=min(numbers),
+                                             maximum=max(numbers),
+                                             integer_valued=all(map(float.is_integer, numbers))))
+            else:
+                inferred.append(ColumnSchema(name, ColumnKind.CATEGORICAL,
+                                             vocabulary=tuple(dict.fromkeys(cells))))
+        schema = TableSchema(tuple(inferred))
+    return RawTable(schema, [tuple(cell if col.kind is ColumnKind.CATEGORICAL else float(cell)
+                                   for col, cell in zip(schema.columns, row)) for row in body])
+
+
+def _row_decode(values, schema):
+    """The row-built table that ``decode`` gives: each column's labels or
+    Python floats from the same numpy operations, then zipped into rows."""
+    cells = []
+    for col, span in zip(schema.columns, column_spans(schema)):
+        block = values[:, span.start : span.stop]
+        if col.kind is ColumnKind.CATEGORICAL:
+            cells.append([col.vocabulary[i] for i in np.argmax(block, axis=1).tolist()])
+        elif col.maximum == col.minimum:
+            cells.append([col.minimum] * len(values))
+        else:
+            raw = np.clip(block[:, 0], 0.0, 1.0) * (col.maximum - col.minimum) + col.minimum
+            raw = np.clip(raw, col.minimum, col.maximum)
+            cells.append((np.rint(raw) if col.integer_valued else raw).tolist())
+    return RawTable(schema, list(zip(*cells)))
+
+
+def _exact(table):
+    """Schema JSON, rows and encoded bytes, with each float as its hex so
+    that 0.0 and -0.0 differ."""
+    rows = [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in table.rows]
+    return json.dumps(table.schema.to_json_dict()), rows, encode(table).values.tobytes()
+
+
+@PROPERTY
+@given(reference_tables())
+def test_typed_columns_match_the_row_built_reference(table):
+    text = table_to_text(table)
+    assert _exact(parse_table(text, table.schema)) == _exact(_row_parse(text, table.schema))
+    assert _exact(parse_table(text)) == _exact(_row_parse(text))
+    values = encode(table).values
+    assert _exact(decode(values, table.schema)) == _exact(_row_decode(values, table.schema))
+    assert table_to_text(_row_parse(text)) == table_to_text(parse_table(text))
+
+
 
 
 @st.composite

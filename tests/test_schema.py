@@ -36,6 +36,30 @@ def test_infer_distinct_count_threshold():
     assert col.integer_valued
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["min", "max"])
+@pytest.mark.parametrize("zeros", [["0.0", "-0.0"], ["-0.0", "0.0"]],
+                         ids=["0.0-first", "-0.0-first"])
+@pytest.mark.parametrize("where", ["start", "end", "apart"])
+def test_infer_bounds_keep_the_zero_python_min_and_max_give(sign, zeros, where):
+    # ndarray.min and max may return either zero; Python's give the first
+    others = [str(sign * i) for i in range(1, 25)]
+    cells = {"start": zeros + others, "end": others + zeros,
+             "apart": zeros[:1] + others + zeros[1:]}[where]
+    numbers = list(map(float, cells))
+    col = infer_schema("v\n" + "".join(c + "\n" for c in cells)).columns[0]
+    assert col.kind is ColumnKind.CONTINUOUS
+    assert (col.minimum.hex(), col.maximum.hex()) == (min(numbers).hex(), max(numbers).hex())
+    assert col.integer_valued
+
+
+@pytest.mark.parametrize("others, kind", [(19, ColumnKind.CATEGORICAL),
+                                           (20, ColumnKind.CONTINUOUS)])
+def test_infer_counts_0_0_and_minus_0_0_as_one_value(others, kind):
+    # as a set of the floats does: 19 other values and the zero are 20 distinct
+    cells = ["0.0"] + [str(i) for i in range(1, others + 1)] + ["-0.0"]
+    assert infer_schema("v\n" + "".join(c + "\n" for c in cells)).columns[0].kind is kind
+
+
 def test_infer_override_wins():
     text = "flag\n0\n1\n0\n"
     assert infer_schema(text).columns[0].kind is ColumnKind.CATEGORICAL
