@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import encode
-from .errors import ConfigError, check_number_fields, typed_number
+from .errors import ConfigError, check_number_fields, typed_number, typed_string
 from .metrics import FidelityReport, evaluate
 from .models import MODEL_KINDS, make_config, option_keys, sample_table, train_model
 from .privacy import DEFAULT_CLIP_NORM, DEFAULT_DELTA, build_privacy
@@ -42,6 +42,10 @@ class DatasetSpec:
     subsample: int | None = None
 
     def __post_init__(self) -> None:
+        typed_string("name", self.name)
+        typed_string("path", self.path)
+        if self.schema_path is not None:
+            typed_string("schema", self.schema_path)
         if self.subsample is not None:
             object.__setattr__(self, "subsample", typed_number("subsample", self.subsample, int))
             if self.subsample < 1:
@@ -59,6 +63,9 @@ class BenchmarkPlan:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.options, dict):
+            raise ConfigError(f"plan key 'options' must be a JSON object, "
+                              f"got {json.dumps(self.options, default=repr)}")
         check_number_fields(self, positive=True)
         if self.delta >= 1.0:
             raise ConfigError(f"option 'delta' must be < 1, got {self.delta}")
@@ -96,7 +103,7 @@ def load_plan(path: str | Path) -> BenchmarkPlan:
             repeats=payload["repeats"],
             seeds=tuple(payload["seeds"]),
             delta=payload.get("delta", BenchmarkPlan.delta),
-            options=dict(payload.get("options", {})),
+            options=payload.get("options", {}),
         )
     except KeyError as exc:
         raise ConfigError(f"benchmark plan is missing key {exc}") from exc
@@ -185,18 +192,22 @@ def run_benchmark(plan: BenchmarkPlan, out_dir: str | Path) -> tuple[list[dict],
 
     def run_one(job):
         # Each cell writes its report as it finishes, so an interrupted
-        # sweep keeps every finished cell.
+        # sweep keeps every finished cell; a cell that fails returns its
+        # error instead, and the sweep goes on.
         ds, model, eps, seed = job
-        report = run_cell(tables[ds], model, eps, seed, plan.delta, plan.options)
-        name = f"{ds}_{model}_eps{_eps_label(eps)}_seed{seed}.report.json"
-        (out / name).write_text(
-            json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
-        return report
+        try:
+            report = run_cell(tables[ds], model, eps, seed, plan.delta, plan.options)
+            name = f"{ds}_{model}_eps{_eps_label(eps)}_seed{seed}.report.json"
+            (out / name).write_text(
+                json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+            return report, None
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the point
+            return None, f"{type(exc).__name__}: {exc}"
 
     failures: list[dict] = []
     cells: dict = {}
     with ThreadPoolExecutor(max_workers=worker_count(len(jobs))) as pool:
-        outcomes = list(pool.map(lambda j: _guarded(run_one, j), jobs))
+        outcomes = list(pool.map(run_one, jobs))
     for job, (report, error) in zip(jobs, outcomes):
         ds, model, eps, seed = job
         if error is not None:
@@ -211,13 +222,6 @@ def run_benchmark(plan: BenchmarkPlan, out_dir: str | Path) -> tuple[list[dict],
         (out / "failures.json").write_text(
             json.dumps(failures, indent=2) + "\n", encoding="utf-8")
     return rows, failures
-
-
-def _guarded(fn, job):
-    try:
-        return fn(job), None
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _write_results_csv(rows: list[dict], path: Path) -> None:

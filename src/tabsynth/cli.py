@@ -20,7 +20,7 @@ from pathlib import Path
 from . import benchmark as bench
 from .diffusion import DiffusionConfig
 from .errors import (BundleError, ConfigError, DegenerateDataError, ParseError,
-                     TabsynthError, typed_number)
+                     TabsynthError, typed_number, typed_string)
 from .encoding import encode
 from .gan import DPWGAN, GanConfig
 from .metrics import DEFAULT_BINS, evaluate, pca_projection_histogram
@@ -78,6 +78,12 @@ def _number(cfg: dict, key: str, kind: type, default=None):
     return typed_number(key, value, kind)
 
 
+def _text(cfg: dict, key: str):
+    """``cfg[key]`` as a string (a path), or None when absent or null."""
+    value = cfg.get(key)
+    return None if value is None else typed_string(key, value)
+
+
 def _seed(cfg: dict) -> int:
     seed = _number(cfg, "seed", int, 0)
     if seed < 0:
@@ -117,15 +123,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         PrivacyParams(1.0, delta, 1.0 if sigma is None else sigma, clip, 1.0)
     else:
         build_privacy(epsilon, delta, sigma, clip, 1, 1)
+    # and so are the paths, the output's too, which is first used after
+    # training; an unset or empty schema path means an inferred schema
+    schema_path = _text(cfg, "schema")
+    data_path = typed_string("data", _require(cfg, "data"))
+    out = Path(_text(cfg, "out") or "model.json")
 
-    schema = load_schema(cfg["schema"]) if cfg.get("schema") else None
-    table = load_table(_require(cfg, "data"), schema)
+    schema = load_schema(schema_path) if schema_path else None
+    table = load_table(data_path, schema)
     if config.batch_target not in _GOOD_BATCHES:
         print(f"warning: batch size {config.batch_target} is outside the tuned range 2^6..2^11",
               file=sys.stderr)
     privacy = build_privacy(epsilon, delta, sigma, clip, config.batch_target, table.n_rows)
     model = train_model(encode(table), replace(config, privacy=privacy), seed)
-    out = Path(cfg.get("out") or "model.json")
     save_bundle(model, out)
     log_path = Path(str(out) + ".log.csv")
     with open(log_path, "w", encoding="utf-8", newline="") as fh:
@@ -148,7 +158,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if rows < 1:
         raise ConfigError(f"rows must be >= 1, got {rows}")
     seed = _seed(cfg)
-    model = load_bundle(_require(cfg, "model"))
+    model = load_bundle(typed_string("model", _require(cfg, "model")))
     table = sample_table(model, rows, seed=seed)
     out = args.out or "synthetic.csv"
     write_table(table, out)
@@ -195,10 +205,9 @@ def cmd_project(args: argparse.Namespace) -> int:
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["row", "col", "real_count", "other_count"])
-        for i in range(result.bins):
-            for j in range(result.bins):
-                writer.writerow([i, j, int(result.real_grid[i, j]),
-                                 int(result.other_grid[i, j])])
+        cells = zip(*(grid.ravel().astype(int).tolist()
+                      for grid in (result.real_grid, result.other_grid)))
+        writer.writerows((*divmod(k, result.bins), r, o) for k, (r, o) in enumerate(cells))
     sidecar = Path(str(out) + ".basis.json")
     basis = {name: getattr(result, name).tolist()
              for name in ("eigenvalues", "components", "center", "box_min", "box_max")}

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the type rule for
-numeric options.
+"""Exception hierarchy shared across the package, and the type rules for
+numeric and string options.
 
 The CLI maps these onto exit codes: configuration and domain errors exit
 with 1, anything that points at a broken input file (parse failures,
@@ -54,6 +54,14 @@ def typed_number(name: str, value, kind: type):
     if kind is float and not math.isfinite(number):
         raise ConfigError(f"option {name!r} must be finite, got {number}")
     return number
+
+
+def typed_string(name: str, value) -> str:
+    """``value`` if it is a string (a path, a name); a number, null, a list or
+    an object is a ConfigError that names the option."""
+    if not isinstance(value, str):
+        raise ConfigError(f"option {name!r} must be a string, got {json.dumps(value, default=repr)}")
+    return value
 
 
 def check_number_fields(instance, positive: bool = False, zero_ok: tuple = ()) -> None:

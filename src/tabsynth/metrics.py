@@ -263,11 +263,6 @@ def marginal_distance(real: RawTable, synth: RawTable):
         raise SchemaError("marginal_distance: schema mismatch")
     real.validate()
     synth.validate()
-    return _marginal_distance(real, synth)
-
-
-def _marginal_distance(real: RawTable, synth: RawTable):
-    """``marginal_distance`` of two tables already validated on one schema."""
     per_feature = []
     dropped_total = 0
     for col, rv, sv in zip(real.schema.columns, real.columns, synth.columns):
@@ -437,7 +432,7 @@ def evaluate(real: RawTable, synth: RawTable, metadata: dict | None = None) -> F
     mr = encode(real)
     ms = encode(synth)
     ratio = pmse_ratio(mr, ms)
-    md, per_feature, dropped = _marginal_distance(real, synth)  # encode validated both
+    md, per_feature, dropped = marginal_distance(real, synth)
     curves = precision_recall_curves(mr, ms)
     a_int, b_int, area = auprc(curves)
     meta = {

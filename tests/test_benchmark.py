@@ -98,7 +98,13 @@ def test_load_plan_round_trip(tmp_path):
     ({"seeds": [0.7]}, "'seeds'"),
     ({"repeats": "1"}, "'repeats'"),
     ({"datasets": [{"name": "toy", "path": "toy.csv", "subsample": "40"}]}, "'subsample'"),
-], ids=["list", "dataset-entry", "fractional-seed", "string-repeats", "string-subsample"])
+    ({"options": "ab"}, "'options'"),
+    ({"options": ["ab"]}, "'options'"),
+    ({"datasets": [{"name": "toy", "path": 5}]}, "'path'"),
+    ({"datasets": [{"name": "toy", "path": "toy.csv", "schema": 5}]}, "'schema'"),
+    ({"datasets": [{"name": ["toy"], "path": "toy.csv"}]}, "'name'"),
+], ids=["list", "dataset-entry", "fractional-seed", "string-repeats", "string-subsample",
+        "string-options", "list-options", "number-path", "number-schema", "list-name"])
 def test_load_plan_rejects_malformed_plans(tmp_path, plan, match):
     if isinstance(plan, dict):
         plan = dict({"datasets": [{"name": "toy", "path": "toy.csv"}],

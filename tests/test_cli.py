@@ -6,7 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from tabsynth import cli
 from tabsynth.cli import LOG_COLUMNS, build_parser, main
+from tabsynth.encoding import encode
+from tabsynth.metrics import pca_projection_histogram
 from tabsynth.models import option_keys
 from tabsynth.privacy import TrainingDriver
 from tabsynth.schema import infer_schema, load_table
@@ -143,7 +146,8 @@ def test_a_model_key_the_chosen_model_does_not_read_exits_1(tmp_path, data_csv, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("delta", None), ("epochs", "two"), ("lr", [1])])
+@pytest.mark.parametrize("key, value", [("delta", None), ("epochs", "two"), ("lr", [1]),
+                                        ("schema", 5)])
 def test_a_wrongly_typed_config_value_exits_1_naming_the_key(tmp_path, data_csv, capsys,
                                                              key, value):
     cfg = tmp_path / "typed.json"
@@ -153,6 +157,30 @@ def test_a_wrongly_typed_config_value_exits_1_naming_the_key(tmp_path, data_csv,
                  "tablediffusion", "--epsilon", "1", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("data", 5), ("data", ["data.csv"]), ("out", 7)])
+def test_a_config_path_that_is_not_a_string_exits_1_before_the_data_is_read(
+        tmp_path, data_csv, capsys, monkeypatch, key, value):
+    read = []
+    monkeypatch.setattr(cli, "load_table", lambda *a: read.append(a) or load_table(*a))
+    monkeypatch.chdir(tmp_path)  # a bundle written under a default name lands here
+    cfg = tmp_path / "paths.json"
+    cfg.write_text(json.dumps({"data": str(data_csv), "model": "tablediffusion",
+                               "out": "m.json", key: value}))
+    assert main(["train", "--config", str(cfg), *FAST]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: option {key!r} must be a string, got ")
+    assert read == [] and sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "paths.json"]
+
+
+def test_a_sample_config_model_path_that_is_not_a_string_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "sample.json"
+    cfg.write_text(json.dumps({"model": 5, "rows": 3}))
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: option 'model' must be a string, got 5\n"
     assert not out.exists()
 
 
@@ -400,6 +428,29 @@ def test_project_writes_grid_and_basis(tmp_path, data_csv, capsys):
     assert basis["bins"] == 8
     assert len(basis["components"]) == 2
     assert "wrote projection grid" in capsys.readouterr().out
+
+
+def test_project_writes_each_cell_of_both_grids_row_by_row(tmp_path, data_csv):
+    rng = np.random.default_rng(1)
+    lines = ["c,x,y"] + [f"{'uv'[rng.integers(2)]},{rng.random() ** 2:.6f},{rng.random():.6f}"
+                         for _ in range(45)]
+    synth_csv = tmp_path / "synth.csv"
+    synth_csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "proj.csv"
+    assert main(["project", "--real", str(data_csv), "--synth", str(synth_csv),
+                 "--bins", "5", "--out", str(out)]) == 0
+    real = load_table(data_csv)
+    result = pca_projection_histogram(encode(real), encode(load_table(synth_csv, real.schema)),
+                                      bins=5)
+    # neither grid is symmetric and they differ, so a writer that swapped
+    # row and column, or the two grids, would write other rows
+    assert not np.array_equal(result.real_grid, result.other_grid)
+    assert not np.array_equal(result.real_grid, result.real_grid.T)
+    assert not np.array_equal(result.other_grid, result.other_grid.T)
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == [[str(i), str(j), str(int(result.real_grid[i, j])),
+                     str(int(result.other_grid[i, j]))] for i in range(5) for j in range(5)]
 
 
 @pytest.mark.parametrize("bins", ["0", "-3"])
